@@ -18,12 +18,12 @@ type options = {
   telemetry : Telemetry.sink;
 }
 
-(* The default chunk size follows the tuned value [bench --batch-only]
-   records in BENCH_batch.json ("tuned_batch"): throughput on the
-   million-event duplicated workload plateaus from a few dozen events
-   per chunk, and smaller chunks keep the working set cache-resident.
-   The bench emits a warning field when this default drifts from the
-   measured optimum. *)
+(* The default chunk size. Throughput on the million-event duplicated
+   workload plateaus from a few dozen events per chunk (64 was the
+   fastest batch of the last [bench --batch-only] sweep), and smaller
+   chunks keep the working set cache-resident. To re-tune, re-run that
+   sweep: it records its measured best batch beside this default and
+   adds a warning field when the two differ. *)
 let default_batch_size = 64
 
 let default_options =
@@ -291,6 +291,12 @@ let create ?(options = default_options) automaton =
 
 let set_observer st observer = st.observer <- observer
 
+(* Observations are built only when an observer is installed: most
+   carry a copy of the buffer ([substitution_of] reverses it), which the
+   unobserved hot path must not pay for. Call sites therefore guard on
+   [observed] before building the argument of [observe]. *)
+let observed st = Option.is_some st.observer
+
 let observe st obs =
   match st.observer with None -> () | Some f -> f obs
 
@@ -303,8 +309,8 @@ let expired tau inst e =
 
 let const_holds c e =
   (* Constant conditions mention exactly one variable; binding it to [e]
-     needs no buffer lookup. *)
-  Condition.holds_binding c ~var:c.Condition.var ~event:e (fun _ -> [])
+     needs no buffer. *)
+  Condition.holds_binding c ~var:c.Condition.var ~event:e []
 
 let bucket_of slot = slot.bucket
 
@@ -344,12 +350,6 @@ let guards_may_fire slot e =
    instances are consumed (replace-on-fire), a fresh instance is never
    kept. *)
 let consume st slot inst e ~on_succ =
-  let lookup v =
-    List.rev
-      (List.filter_map
-         (fun (v', ev) -> if v' = v then Some ev else None)
-         inst.bindings)
-  in
   let precheck = st.options.precheck_constants in
   let fired = ref false in
   List.iter
@@ -367,7 +367,8 @@ let consume st slot inst e ~on_succ =
       let ok =
         below_max
         && List.for_all
-             (fun c -> Condition.holds_binding c ~var:tr.var ~event:e lookup)
+             (fun c ->
+               Condition.holds_binding c ~var:tr.var ~event:e inst.bindings)
              remaining
       in
       if ok then begin
@@ -387,8 +388,14 @@ let consume st slot inst e ~on_succ =
             first_ts = (if is_fresh inst then Event.ts e else inst.first_ts);
           }
         in
-        observe st
-          (Took { event = e; transition = tr; buffer = substitution_of successor });
+        if observed st then
+          observe st
+            (Took
+               {
+                 event = e;
+                 transition = tr;
+                 buffer = substitution_of successor;
+               });
         on_succ pt successor
       end)
     (candidate_transitions st slot e);
@@ -401,20 +408,24 @@ let consume st slot inst e ~on_succ =
            (fun g ->
              List.for_all
                (fun c ->
-                 Condition.holds_binding c ~var:g.neg_var ~event:e lookup)
+                 Condition.holds_binding c ~var:g.neg_var ~event:e
+                   inst.bindings)
                g.guard_conds)
            slot.guards
     in
     if killed then begin
       Metrics.on_killed st.m;
-      observe st
-        (Killed { event = e; state = inst.state; buffer = substitution_of inst });
+      if observed st then
+        observe st
+          (Killed
+             { event = e; state = inst.state; buffer = substitution_of inst });
       false
     end
     else begin
-      observe st
-        (Ignored
-           { event = e; state = inst.state; buffer = substitution_of inst });
+      if observed st then
+        observe st
+          (Ignored
+             { event = e; state = inst.state; buffer = substitution_of inst });
       true
     end
   end
@@ -457,8 +468,10 @@ let feed_flat st o e =
         let accepting =
           Varset.equal inst.state accept && minima_satisfied st inst
         in
-        observe st
-          (Expired { event = e; accepting; buffer = substitution_of inst });
+        if observed st then
+          observe st
+            (Expired
+               { event = e; accepting; buffer = substitution_of inst });
         if accepting then completed := emit st inst :: !completed
       end
       else begin
@@ -513,14 +526,16 @@ let feed_indexed st store e =
           (fun inst ->
             Metrics.on_expired st.m;
             let accepting = slot.accepting && minima_satisfied st inst in
-            observe st
-              (Expired { event = e; accepting; buffer = substitution_of inst });
+            if observed st then
+              observe st
+                (Expired
+                   { event = e; accepting; buffer = substitution_of inst });
             if accepting then completed := emit st inst :: !completed)
           dead;
         let scan =
           candidate_transitions st slot e <> []
           || guards_may_fire slot e
-          || st.observer <> None
+          || observed st
         in
         if scan && Instance_store.handle_size bucket > 0 then begin
           let tok =
@@ -612,8 +627,10 @@ let feed_indexed_batch st store kept n_kept =
   let emit_expired e slot inst =
     Metrics.on_expired st.m;
     let accepting = slot.accepting && minima_satisfied st inst in
-    observe st
-      (Expired { event = e; accepting; buffer = substitution_of inst });
+    if observed st then
+      observe st
+        (Expired
+           { event = e; accepting; buffer = substitution_of inst });
     if accepting then completed := emit st inst :: !completed
   in
   (* Batch-start expiry sweep: one prefix pop per nonempty bucket. *)
@@ -730,7 +747,7 @@ let feed_batch st events =
     if n_kept = 0 then []
     else
       match st.pop with
-      | Store s when st.observer = None ->
+      | Store s when not (observed st) ->
           feed_indexed_batch st s kept n_kept
       | Store _ | Omega _ ->
           (* Reference orderings (flat pool, or an installed observer):

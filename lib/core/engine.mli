@@ -170,5 +170,6 @@ val emitted : stream -> Substitution.t list
 
 val set_observer : stream -> (observation -> unit) option -> unit
 (** Installs (or removes) a callback invoked synchronously on every
-    execution event of this stream. See {!Trace} for a convenient
-    recorder. *)
+    execution event of this stream. Observations are built only while an
+    observer is installed, so a stream without one pays nothing for
+    them. See {!Trace} for a convenient recorder. *)

@@ -339,7 +339,7 @@ let m_expired tau inst e =
   (not (m_is_fresh inst)) && Time.span (Event.ts e) inst.mfirst_ts > tau
 
 let const_holds c e =
-  Condition.holds_binding c ~var:c.Condition.var ~event:e (fun _ -> [])
+  Condition.holds_binding c ~var:c.Condition.var ~event:e []
 
 let iter_owner_bits g mask f =
   Array.iter (fun o -> if o.o_bit land mask <> 0 then f o) g.g_owners
@@ -657,12 +657,6 @@ let expire_shared g s inst rmask =
    transitions). Survival is per owner — the instance stays with the
    owners for which nothing fired and no guard killed. *)
 let consume_shared g s inst e rmask ~fresh =
-  let lookup v =
-    List.rev
-      (List.filter_map
-         (fun (v', ev) -> if v' = v then Some ev else None)
-         inst.mbindings)
-  in
   let shared_fired = ref false in
   List.iter
     (fun mt ->
@@ -676,7 +670,9 @@ let consume_shared g s inst e rmask ~fresh =
       if
         below_max
         && List.for_all
-             (fun c -> Condition.holds_binding c ~var:tr.var ~event:e lookup)
+             (fun c ->
+               Condition.holds_binding c ~var:tr.var ~event:e
+                 inst.mbindings)
              mt.mt_vars
       then begin
         shared_fired := true;
@@ -718,7 +714,8 @@ let consume_shared g s inst e rmask ~fresh =
                 below_max
                 && List.for_all
                      (fun c ->
-                       Condition.holds_binding c ~var:tr.var ~event:e lookup)
+                       Condition.holds_binding c ~var:tr.var ~event:e
+                         inst.mbindings)
                      b.b_vars
               then begin
                 bfired := !bfired lor o.o_bit;
@@ -759,7 +756,8 @@ let consume_shared g s inst e rmask ~fresh =
              (fun gd ->
                List.for_all
                  (fun c ->
-                   Condition.holds_binding c ~var:gd.neg_var ~event:e lookup)
+                   Condition.holds_binding c ~var:gd.neg_var ~event:e
+                     inst.mbindings)
                  gd.mg_conds)
              s.ms_guards
       in
@@ -781,7 +779,7 @@ let consume_shared g s inst e rmask ~fresh =
                        List.for_all
                          (fun c ->
                            Condition.holds_binding c ~var:gd.neg_var ~event:e
-                             lookup)
+                             inst.mbindings)
                          gd.mg_conds)
                      o.o_merge_guards
               then begin
@@ -803,12 +801,6 @@ let consume_shared g s inst e rmask ~fresh =
    store. [full] when the event is routed to the owner; otherwise only
    the expiry sweep can matter (see the module comment). *)
 let consume_private g o slot inst e =
-  let lookup v =
-    List.rev
-      (List.filter_map
-         (fun (v', ev) -> if v' = v then Some ev else None)
-         inst.mbindings)
-  in
   let fired = ref false in
   List.iter
     (fun mt ->
@@ -822,7 +814,9 @@ let consume_private g o slot inst e =
       if
         below_max
         && List.for_all
-             (fun c -> Condition.holds_binding c ~var:tr.var ~event:e lookup)
+             (fun c ->
+               Condition.holds_binding c ~var:tr.var ~event:e
+                 inst.mbindings)
              mt.mt_vars
       then begin
         fired := true;
@@ -855,7 +849,8 @@ let consume_private g o slot inst e =
            (fun gd ->
              List.for_all
                (fun c ->
-                 Condition.holds_binding c ~var:gd.neg_var ~event:e lookup)
+                 Condition.holds_binding c ~var:gd.neg_var ~event:e
+                   inst.mbindings)
                gd.mg_conds)
            slot.ms_guards
     in

@@ -8,18 +8,18 @@ type op =
 
 let all_ops = [ Eq; Neq; Lt; Le; Gt; Ge ]
 
+let eval_order op c =
+  match op with
+  | Eq -> c = 0
+  | Neq -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+
 let eval op a b =
   let compatible = Value.ty_compatible (Value.type_of a) (Value.type_of b) in
-  if not compatible then op = Neq
-  else
-    let c = Value.compare a b in
-    match op with
-    | Eq -> c = 0
-    | Neq -> c <> 0
-    | Lt -> c < 0
-    | Le -> c <= 0
-    | Gt -> c > 0
-    | Ge -> c >= 0
+  if not compatible then op = Neq else eval_order op (Value.compare a b)
 
 let negate = function
   | Eq -> Neq

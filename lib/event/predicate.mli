@@ -19,6 +19,10 @@ val eval : op -> Value.t -> Value.t -> bool
     unequal: [Eq] is [false], [Neq] is [true], and the order operators are
     all [false]. *)
 
+val eval_order : op -> int -> bool
+(** [eval_order op c] is whether a comparison result [c] (negative, zero
+    or positive, as from [compare a b]) satisfies [a op b]. *)
+
 val negate : op -> op
 (** Logical complement: [negate Lt = Ge], etc. *)
 

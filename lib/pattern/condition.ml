@@ -51,24 +51,59 @@ let typecheck schema c =
 
 let eval_pair c left right = Predicate.eval c.op left right
 
-let holds c bindings =
-  let lefts = List.map (fun e -> Event.get e c.field) (bindings c.var) in
-  let rights =
-    match c.rhs with
-    | Const v -> [ v ]
-    | Var (v', f') -> List.map (fun e -> Event.get e f') (bindings v')
-  in
-  List.for_all (fun l -> List.for_all (fun r -> eval_pair c l r) rights) lefts
+(* φ between field [c.field] of [l] and field [f'] of [r]. Two
+   timestamps compare unboxed: [Event.get] would box each into a fresh
+   [Value.Int], and the automaton's time constraints compare timestamps
+   against every binding of a group. *)
+let eval_events c l r f' =
+  match c.field, f' with
+  | Schema.Field.Timestamp, Schema.Field.Timestamp ->
+      Predicate.eval_order c.op (Time.compare (Event.ts l) (Event.ts r))
+  | (Schema.Field.Timestamp | Schema.Field.Attr _), _ ->
+      eval_pair c (Event.get l c.field) (Event.get r f')
 
-let holds_binding c ~var ~event bindings =
-  let bindings_for v = if v = var then [ event ] else bindings v in
-  let lefts = List.map (fun e -> Event.get e c.field) (bindings_for c.var) in
-  let rights =
-    match c.rhs with
-    | Const v -> [ v ]
-    | Var (v', f') -> List.map (fun e -> Event.get e f') (bindings_for v')
-  in
-  List.for_all (fun l -> List.for_all (fun r -> eval_pair c l r) rights) lefts
+let holds c bindings =
+  List.for_all
+    (fun l ->
+      match c.rhs with
+      | Const k -> eval_pair c (Event.get l c.field) k
+      | Var (v', f') when v' = c.var -> eval_events c l l f'
+      | Var (v', f') ->
+          List.for_all (fun r -> eval_events c l r f') (bindings v'))
+    (bindings c.var)
+
+(* The incremental evaluator walks the instance's (variable, event)
+   buffer in place: it builds no per-variable lists and allocates no
+   closure per binding, so its allocation does not grow with the
+   buffer. *)
+
+(* φ between [l] and every event [buffer] binds to [v]. *)
+let rec all_right c l f' v buffer =
+  match buffer with
+  | [] -> true
+  | (v', r) :: rest ->
+      (v' <> v || eval_events c l r f') && all_right c l f' v rest
+
+(* The instantiations whose left-hand side is bound to [l]: the right
+   side is a constant, [l] itself (reflexive), the new [event] when the
+   right variable is the one being bound, or the buffer's bindings. *)
+let holds_at c ~var ~event buffer l =
+  match c.rhs with
+  | Const k -> eval_pair c (Event.get l c.field) k
+  | Var (v', f') when v' = c.var -> eval_events c l l f'
+  | Var (v', f') when v' = var -> eval_events c l event f'
+  | Var (v', f') -> all_right c l f' v' buffer
+
+let rec all_left c ~var ~event buffer rest =
+  match rest with
+  | [] -> true
+  | (v', l) :: rest ->
+      (v' <> c.var || holds_at c ~var ~event buffer l)
+      && all_left c ~var ~event buffer rest
+
+let holds_binding c ~var ~event buffer =
+  if c.var = var then holds_at c ~var ~event buffer event
+  else all_left c ~var ~event buffer buffer
 
 let pp schema ~name_of ppf c =
   let pp_field ppf (v, f) =

@@ -55,15 +55,21 @@ val typecheck : Schema.t -> t -> (unit, string) result
 
 val holds : t -> (int -> Event.t list) -> bool
 (** [holds c bindings] evaluates [c] under the full decomposition: every
-    combination of bindings of the two variables must satisfy φ. Variables
-    with no bindings make the condition vacuously true. *)
+    combination of bindings of the two variables must satisfy φ. A
+    reflexive condition ([v.A φ v.A']) compares the attributes of each
+    binding with themselves. Variables with no bindings make the
+    condition vacuously true. *)
 
-val holds_binding : t -> var:int -> event:Event.t -> (int -> Event.t list) -> bool
-(** [holds_binding c ~var ~event bindings] evaluates the instantiations of
+val holds_binding :
+  t -> var:int -> event:Event.t -> (int * Event.t) list -> bool
+(** [holds_binding c ~var ~event buffer] evaluates the instantiations of
     [c] in which [var]'s binding is the new [event]; occurrences of the
-    other variable (or of [var] on the opposite side, for reflexive
-    conditions) range over [bindings]. This is the transition-time check:
-    summed over the run it covers the same combinations as {!holds}. *)
+    other variable range over its bindings in [buffer], an instance's
+    [(variable, event)] match buffer in any order. This is the
+    transition-time check: summed over the run it covers the same
+    combinations as {!holds}. It walks [buffer] in place, building no
+    per-variable lists, so its allocation does not grow with the
+    buffer. *)
 
 val pp : Schema.t -> name_of:(int -> string) -> Format.formatter -> t -> unit
 (** Prints like the paper: [c.ID = p+.ID], [b.L = 'B']. *)

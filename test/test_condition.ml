@@ -89,26 +89,28 @@ let test_holds_timestamp () =
   Alcotest.(check bool) "equal fails strict" false
     (Condition.holds c (bindings_of [ (0, [ early ]); (1, [ ev 2 1 "y" 0 5 ]) ]))
 
+(* Binds each (variable, event) in order, checking [holds_binding]
+   against the buffer built so far (newest first, as engine instances
+   keep it); returns whether every step accepted, and the full buffer. *)
+let bind_incrementally c steps =
+  List.fold_left
+    (fun (ok, buffer) (var, e) ->
+      (ok && Condition.holds_binding c ~var ~event:e buffer, (var, e) :: buffer))
+    (true, []) steps
+
+let buffer_bindings buffer v =
+  List.rev (List.filter_map (fun (v', e) -> if v' = v then Some e else None) buffer)
+
 let test_holds_binding_incremental () =
   (* Adding bindings one by one and checking [holds_binding] at each step
      accepts exactly when the full [holds] accepts at the end. *)
   let c = Condition.make_var ~var:0 ~field:(attr "V") Predicate.Le ~var':1 ~field':(attr "V") in
   let xs = [ ev 0 1 "x" 2 0; ev 1 1 "x" 3 1 ] in
   let ys = [ ev 2 1 "y" 3 2; ev 3 1 "y" 9 3 ] in
-  let incremental =
+  let incremental, _ =
     (* Bind xs to var 0, then ys to var 1, checking each new binding. *)
-    let step (ok, bound) (var, e) =
-      let lookup v = List.rev (bindings_of bound v) in
-      let ok' = ok && Condition.holds_binding c ~var ~event:e lookup in
-      let bound =
-        (var, e :: Option.value ~default:[] (List.assoc_opt var bound))
-        :: List.remove_assoc var bound
-      in
-      (ok', bound)
-    in
-    fst
-      (List.fold_left step (true, [])
-         (List.map (fun e -> (0, e)) xs @ List.map (fun e -> (1, e)) ys))
+    bind_incrementally c
+      (List.map (fun e -> (0, e)) xs @ List.map (fun e -> (1, e)) ys)
   in
   let full = Condition.holds c (bindings_of [ (0, xs); (1, ys) ]) in
   Alcotest.(check bool) "incremental = full (sat)" full incremental;
@@ -116,10 +118,57 @@ let test_holds_binding_incremental () =
   let ys_bad = [ ev 2 1 "y" 1 2 ] in
   let full_bad = Condition.holds c (bindings_of [ (0, xs); (1, ys_bad) ]) in
   let inc_bad =
-    Condition.holds_binding c ~var:1 ~event:(List.hd ys_bad) (fun v ->
-        bindings_of [ (0, xs) ] v)
+    Condition.holds_binding c ~var:1 ~event:(List.hd ys_bad)
+      (List.rev_map (fun e -> (0, e)) xs)
   in
   Alcotest.(check bool) "incremental = full (unsat)" full_bad inc_bad
+
+(* Random conditions over two variables — constant, cross-variable and
+   reflexive, on attributes and timestamps, with every operator — and
+   random binding sequences mixing both variables, as a group-variable
+   run accumulates them. *)
+let gen_condition =
+  let open QCheck.Gen in
+  let field = oneofl [ attr "ID"; attr "V"; attr "L"; Schema.Field.Timestamp ] in
+  let var = int_bound 1 in
+  let op = oneofl Predicate.all_ops in
+  frequency
+    [
+      ( 1,
+        map3
+          (fun (var, field) op k -> Condition.make_const ~var ~field op (Value.Int k))
+          (pair var field) op (int_bound 3) );
+      ( 3,
+        map3
+          (fun (var, field) op (var', field') ->
+            Condition.make_var ~var ~field op ~var' ~field')
+          (pair var field) op (pair var field) );
+    ]
+
+let gen_steps =
+  let open QCheck.Gen in
+  map
+    (List.mapi (fun seq (var, (id, v, ts)) ->
+         (var, ev seq id (if id = 0 then "x" else "y") v ts)))
+    (list_size (int_bound 8)
+       (pair (int_bound 1) (triple (int_bound 3) (int_bound 3) (int_bound 3))))
+
+let print_case (c, steps) =
+  let name_of = function 0 -> "a+" | _ -> "b+" in
+  Format.asprintf "%a over [%s]" (Condition.pp schema ~name_of) c
+    (String.concat "; "
+       (List.map
+          (fun (var, e) ->
+            Format.asprintf "%s/%a" (name_of var) (Event.pp schema) e)
+          steps))
+
+let holds_binding_matches_holds =
+  QCheck.Test.make ~count:500
+    ~name:"holds_binding per added binding = holds on the full decomposition"
+    (QCheck.make ~print:print_case (QCheck.Gen.pair gen_condition gen_steps))
+    (fun (c, steps) ->
+      let incremental, buffer = bind_incrementally c steps in
+      incremental = Condition.holds c (buffer_bindings buffer))
 
 let test_pp () =
   let name_of = function 0 -> "c" | 1 -> "p+" | _ -> "?" in
@@ -140,4 +189,5 @@ let suite =
     Alcotest.test_case "holds: timestamps" `Quick test_holds_timestamp;
     Alcotest.test_case "holds_binding incremental" `Quick test_holds_binding_incremental;
     Alcotest.test_case "pp" `Quick test_pp;
+    QCheck_alcotest.to_alcotest holds_binding_matches_holds;
   ]

@@ -270,6 +270,61 @@ let test_metrics_consistency () =
   Alcotest.(check int) "raw = emitted counter" (List.length outcome.Engine.raw)
     m.Metrics.matches_emitted
 
+(* Allocation regression: with no observer installed, ConsumeEvent's
+   allocation per fired transition must not grow with the match buffer.
+   ⟨{c}, {p+}, {b}⟩ over one c then a run of p events keeps exactly one
+   live instance whose p+ buffer grows by one binding per event; the
+   minor words per fired transition over a window of p events are
+   compared at ~16 and ~256 buffered bindings. An eager O(|buffer|)
+   allocation — a rebuilt per-variable list per condition check, or a
+   narration buffer built with nobody listening — makes the late window
+   several times costlier than the early one. *)
+let test_allocation_flat_in_buffer_length () =
+  let p =
+    pattern ~within:1_000_000
+      [ [ v "c" ]; [ vplus "p" ]; [ v "b" ] ]
+      ~where:
+        [
+          label "c" "c";
+          label "p" "p";
+          label "b" "b";
+          Ses_pattern.Pattern.Spec.fields "c" "ID" Ses_event.Predicate.Eq "p"
+            "ID";
+          Ses_pattern.Pattern.Spec.fields "p" "ID" Ses_event.Predicate.Eq "b"
+            "ID";
+        ]
+  in
+  let window = 64 in
+  let words_per_transition ~buffered =
+    let events =
+      rel
+        (List.init (buffered + window + 1) (fun i ->
+             (1, (if i = 0 then "c" else "p"), 0, i)))
+    in
+    let st = Engine.create (Automaton.of_pattern p) in
+    let feed i = ignore (Engine.feed st (Ses_event.Relation.get events i)) in
+    for i = 0 to buffered do
+      feed i
+    done;
+    let fired () = (Engine.metrics st).Metrics.transitions_fired in
+    let fired0 = fired () in
+    let words0 = Gc.minor_words () in
+    for i = buffered + 1 to buffered + window do
+      feed i
+    done;
+    let words = Gc.minor_words () -. words0 in
+    let n = fired () - fired0 in
+    Alcotest.(check int) "one p+ loop per event" window n;
+    words /. float_of_int n
+  in
+  let short = words_per_transition ~buffered:16 in
+  let long = words_per_transition ~buffered:256 in
+  if long > 1.5 *. short then
+    Alcotest.failf
+      "minor words per fired transition grow with the buffer: %.1f at 16 \
+       bindings, %.1f at 256"
+      short long
+
 let suite =
   [
     Alcotest.test_case "simple sequence" `Quick test_simple_sequence;
@@ -297,4 +352,6 @@ let suite =
     Alcotest.test_case "population histogram ordering" `Quick
       test_population_by_state_ordering;
     Alcotest.test_case "metrics consistency" `Quick test_metrics_consistency;
+    Alcotest.test_case "allocation flat in buffer length" `Quick
+      test_allocation_flat_in_buffer_length;
   ]

@@ -94,6 +94,42 @@ let test_pp_full_trace () =
   let text = Format.asprintf "%a" (Trace.pp query_q1) p1_steps in
   Alcotest.(check bool) "renders" true (String.length text > 0)
 
+(* Observer differential: installing an observer that ignores every
+   observation changes nothing the engine computes. Observations are
+   built only while an observer is installed, so the two runs take
+   different code at every narration point; they must still agree on
+   the raw emission multiset, the finalized matches and every metric.
+   Random patterns are redrawn until one carries a group variable (the
+   buffer-growing case). *)
+let observer_is_invisible =
+  QCheck.Test.make ~count:40
+    ~name:"no-op observer: same raw, matches and metrics as no observer"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let open Ses_gen in
+      let rng = Prng.create (Int64.of_int seed) in
+      let rec group_pattern tries =
+        let pat = Random_workload.pattern rng Random_workload.default_pattern in
+        if Ses_pattern.Pattern.group_vars pat <> [] || tries = 0 then pat
+        else group_pattern (tries - 1)
+      in
+      let pat = group_pattern 50 in
+      let r = Random_workload.relation rng Random_workload.default_relation in
+      let automaton = Automaton.of_pattern pat in
+      let run observer =
+        let st = Engine.create automaton in
+        Engine.set_observer st observer;
+        Ses_event.Relation.iter (fun e -> ignore (Engine.feed st e)) r;
+        ignore (Engine.close st);
+        let raw = Engine.emitted st in
+        let canon substs =
+          List.sort Substitution.compare_canonical
+            (List.map Substitution.canonical substs)
+        in
+        (canon raw, canon (Substitution.finalize pat raw), Engine.metrics st)
+      in
+      run None = run (Some (fun _ -> ())))
+
 let suite =
   [
     Alcotest.test_case "Figure 6(b): match starts" `Quick test_figure6_b;
@@ -107,4 +143,5 @@ let suite =
       test_trace_outcome_matches_plain_run;
     Alcotest.test_case "observer removal" `Quick test_observer_removal;
     Alcotest.test_case "full trace rendering" `Quick test_pp_full_trace;
+    QCheck_alcotest.to_alcotest observer_is_invisible;
   ]
