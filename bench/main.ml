@@ -23,10 +23,9 @@
    Test.make per paper table/figure, exercising the code path that
    dominates it).
 
-   Part 4 compares the state-indexed instance store against the flat
-   reference pool (high-population workload) and the hash-based
-   finalization against the quadratic reference (finalize-heavy
-   workload), writing the results to BENCH_instance_store.json.
+   Part 4 compares the hash-based finalization against the quadratic
+   reference (finalize-heavy workload), writing the results to
+   BENCH_instance_store.json.
 
    Part 5 measures domain-parallel execution: the partitioned per-key
    pools of the completely ID-joined Q1 sharded across 1/2/4 OCaml
@@ -183,12 +182,9 @@ let stream_bench () =
   Printf.printf "[\n%s\n]\n\n"
     (String.concat ",\n" (List.map row strategies))
 
-(* Instance-store benchmark: the state-indexed pool vs the flat
-   reference list on a high-population workload (the case-3 overlapping
-   group pattern P3, where |Ω| grows superlinearly in the window), and
-   the hash-based finalization vs the quadratic reference on a
-   finalize-heavy raw candidate set. Results go to stdout and to
-   BENCH_instance_store.json. *)
+(* Finalize benchmark: the hash-based finalization vs the quadratic
+   reference on a finalize-heavy raw candidate set. Results go to stdout
+   and to BENCH_instance_store.json. *)
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -225,43 +221,17 @@ let store_bench () =
     Ses_gen.Chemo.generate
       { Ses_gen.Chemo.default with Ses_gen.Chemo.seed = 11L; patients }
   in
-  let engine_run ~store automaton d =
-    Ses_core.Engine.run_relation
-      ~options:
-        {
-          Ses_core.Engine.default_options with
-          Ses_core.Engine.finalize = false;
-          store;
-        }
-      automaton d
-  in
-  (* High population: the ID-joined group-loop pattern Q1 over a dense
-     chemo relation. Each patient keeps a fan of p+ loop instances alive
-     for the whole window; the flat pool scans all of them (plus every
-     other patient's) on every event, while the indexed store skips the
-     buckets whose states cannot fire and stops the expiry sweep at the
-     first unexpired instance. *)
-  let d = chemo (if quick then 20 else 150) in
-  let n_events = Ses_event.Relation.cardinality d in
-  let automaton = Ses_core.Automaton.of_pattern Q.q1 in
-  let flat, flat_s =
-    time (fun () -> engine_run ~store:Ses_core.Engine.Flat automaton d)
-  in
-  let idx, idx_s =
-    time (fun () -> engine_run ~store:Ses_core.Engine.Indexed automaton d)
-  in
-  let n_raw = List.length idx.Ses_core.Engine.raw in
-  if List.length flat.Ses_core.Engine.raw <> n_raw then
-    Printf.eprintf "warning: store mismatch: flat emitted %d, indexed %d\n"
-      (List.length flat.Ses_core.Engine.raw)
-      n_raw;
   (* Finalize-heavy: the raw candidates of the case-3 overlapping group
      pattern P3 on a small relation — thousands of mutually overlapping
      group substitutions with heavy subsumption, the worst case for the
      quadratic reference. *)
   let fd = chemo (if quick then 2 else 3) in
-  let fin = engine_run ~store:Ses_core.Engine.Indexed
-      (Ses_core.Automaton.of_pattern Q.p3) fd
+  let fin =
+    Ses_core.Engine.run_relation
+      ~options:
+        { Ses_core.Engine.default_options with Ses_core.Engine.finalize = false }
+      (Ses_core.Automaton.of_pattern Q.p3)
+      fd
   in
   let raw = fin.Ses_core.Engine.raw in
   let ref_survivors, ref_s = time (fun () -> reference_finalize raw) in
@@ -275,25 +245,17 @@ let store_bench () =
   let json =
     Printf.sprintf
       "{\n\
-      \  \"high_population\": {\n\
-      \    \"pattern\": \"q1\", \"events\": %d, \"raw_emissions\": %d,\n\
-      \    \"max_instances\": %d,\n\
-      \    \"flat_s\": %.6f, \"indexed_s\": %.6f, \"speedup\": %.2f\n\
-      \  },\n\
       \  \"finalize_heavy\": {\n\
       \    \"pattern\": \"p3\", \"candidates\": %d, \"matches\": %d,\n\
       \    \"reference_s\": %.6f, \"hash_based_s\": %.6f, \"speedup\": %.2f\n\
       \  }\n\
        }"
-      n_events n_raw
-      idx.Ses_core.Engine.metrics.Ses_core.Metrics.max_simultaneous_instances
-      flat_s idx_s (flat_s /. idx_s)
       (List.length raw)
       (List.length new_survivors)
       ref_s new_s (ref_s /. new_s)
   in
-  Printf.printf "Instance store vs flat pool (JSON)\n";
-  Printf.printf "----------------------------------\n";
+  Printf.printf "Finalize vs quadratic reference (JSON)\n";
+  Printf.printf "-------------------------------------\n";
   Printf.printf "%s\n\n" json;
   let oc = open_out "BENCH_instance_store.json" in
   output_string oc json;

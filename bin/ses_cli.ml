@@ -149,22 +149,6 @@ let policy_arg =
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:"Finalization policy for Definition 2's conditions 4-5.")
 
-let store_conv =
-  Arg.enum
-    [
-      ("indexed", Ses_core.Engine.Indexed);
-      ("flat", Ses_core.Engine.Flat);
-    ]
-
-let store_arg =
-  Arg.(
-    value
-    & opt store_conv Ses_core.Engine.Indexed
-    & info [ "store" ] ~docv:"STORE"
-        ~doc:
-          "Instance pool layout: indexed (state-bucketed store, the \
-           default) or flat (the reference list, for comparison).")
-
 let show_metrics_arg =
   Arg.(value & flag & info [ "metrics" ] ~doc:"Print runtime metrics.")
 
@@ -193,8 +177,8 @@ let strategy_arg =
     & opt strategy_conv `Auto
     & info [ "strategy" ] ~docv:"STRATEGY"
         ~doc:
-          "Execution strategy: auto (planner-selected), plain, partitioned, \
-           naive or brute-force.")
+          "Execution strategy: auto (planner-selected), plain, partitioned \
+           (alias par-partitioned), naive or brute-force.")
 
 let stream_arg =
   Arg.(
@@ -226,9 +210,9 @@ let domains_arg =
           "Worker domains for the executors that can use them (default 1 = \
            sequential). With N > 1 the partitioned and auto strategies \
            shard their per-key pools across N OCaml domains when the \
-           pattern is partitionable; the par-partitioned strategy defaults \
-           to the machine's core count when this is left at 1. Matching \
-           output is identical to the sequential run.")
+           pattern is partitionable (par-partitioned names the partitioned \
+           strategy), and several queries spread across N domains. \
+           Matching output is identical to the sequential run.")
 
 let batch_arg =
   Arg.(
@@ -346,7 +330,7 @@ let run_multi_match ~options ~strategy ~queries ~data show_metrics show_raw
       (Ses_core.Multi.shared_stats t)
 
 let run_match data queries query_file strategy stream domains batch access
-    explain filter policy store telemetry show_metrics show_raw table =
+    explain filter policy telemetry show_metrics show_raw table =
   Ses_baseline.Brute_force.register ();
   Ses_analysis.Analyzer.register ();
   if domains < 1 then begin
@@ -373,7 +357,6 @@ let run_match data queries query_file strategy stream domains batch access
       Ses_core.Engine.default_options with
       Ses_core.Engine.filter;
       policy;
-      store;
       domains;
       batch_size = batch;
       telemetry = recorder;
@@ -490,7 +473,7 @@ let match_cmd =
       $ strategy_arg
       $ stream_arg $ domains_arg $ batch_arg $ access_arg $ explain_arg
       $ filter_arg $ policy_arg
-      $ store_arg $ telemetry_arg $ show_metrics_arg $ show_raw_arg
+      $ telemetry_arg $ show_metrics_arg $ show_raw_arg
       $ table_arg)
 
 (* dot *)

@@ -14,23 +14,16 @@
     sitting in the accepting state (with all quantifier minima met) flush
     their buffers.
 
+    Ω is the state-indexed {!Instance_store}: instances bucketed by
+    automaton state and sorted by the start of their window, so states
+    the event cannot affect are skipped in O(1) and the τ-expiry sweep
+    stops at the first unexpired instance. ConsumeEvent itself is
+    {!Kernel.consume}, shared with {!Shared_plan}.
+
     Raw emissions are post-processed by {!Substitution.finalize}
     (deduplication, Definition 2 conditions 4 and 5) unless disabled. *)
 
 open Ses_event
-
-(** How the pool Ω is represented. [Flat] is the paper's verbatim list,
-    rescanned in full on every event — kept as the reference path for
-    differential testing and benchmarking. [Indexed] (the default) is the
-    {!Instance_store}: instances bucketed by automaton state and sorted
-    by the start of their window, so states the event cannot affect are
-    skipped in O(1) and the τ-expiry sweep stops at the first unexpired
-    instance. The two representations produce the same emissions (as
-    sets; the within-event emission order may differ) and the same
-    metrics. *)
-type store_kind =
-  | Flat
-  | Indexed
 
 type options = {
   filter : Event_filter.mode;  (** Sec. 4.5 optimization; default [No_filter] *)
@@ -51,7 +44,6 @@ type options = {
           event, shared across all instances, instead of once per
           instance (default [true]; disable to time the paper's verbatim
           loop — the optimization never changes the result, only work) *)
-  store : store_kind;  (** pool representation (default [Indexed]) *)
   domains : int;
       (** worker domains for the executors that can use them (default 1
           = fully sequential). The plain engine is inherently sequential

@@ -1,16 +1,15 @@
 open Ses_event
 
 type strategy =
-  [ `Auto | `Plain | `Partitioned | `Par_partitioned | `Naive | `Brute_force ]
+  [ `Auto | `Plain | `Partitioned | `Naive | `Brute_force ]
 
 let strategies : strategy list =
-  [ `Auto; `Plain; `Partitioned; `Par_partitioned; `Naive; `Brute_force ]
+  [ `Auto; `Plain; `Partitioned; `Naive; `Brute_force ]
 
 let strategy_name = function
   | `Auto -> "auto"
   | `Plain -> "plain"
   | `Partitioned -> "partitioned"
-  | `Par_partitioned -> "par-partitioned"
   | `Naive -> "naive"
   | `Brute_force -> "brute-force"
 
@@ -22,21 +21,21 @@ let strategy_name = function
    differently, so they always see the whole feed. *)
 let supports_shared_routing = function
   | `Plain | `Auto -> true
-  | `Partitioned | `Par_partitioned | `Naive | `Brute_force -> false
+  | `Partitioned | `Naive | `Brute_force -> false
 
 let strategy_of_string s =
   match String.lowercase_ascii s with
   | "auto" -> Ok `Auto
   | "plain" | "engine" -> Ok `Plain
-  | "partitioned" -> Ok `Partitioned
-  | "par-partitioned" | "par_partitioned" | "parallel" -> Ok `Par_partitioned
+  | "partitioned" | "par-partitioned" | "par_partitioned" | "parallel" ->
+      Ok `Partitioned
   | "naive" -> Ok `Naive
   | "brute-force" | "brute_force" | "bf" -> Ok `Brute_force
   | other ->
       Error
         (Printf.sprintf
-           "unknown strategy %S (expected auto, plain, partitioned, \
-            par-partitioned, naive or brute-force)"
+           "unknown strategy %S (expected auto, plain, partitioned, naive \
+            or brute-force)"
            other)
 
 module type EXECUTOR = sig
@@ -92,35 +91,6 @@ module Partitioned_exec : EXECUTOR = struct
   let name = "partitioned"
 
   let create ?options automaton = Partitioned.create ?options automaton
-
-  let feed = Partitioned.feed
-
-  let feed_batch = Partitioned.feed_batch
-
-  let close = Partitioned.close
-
-  let emitted = Partitioned.emitted
-
-  let population = Partitioned.population
-
-  let metrics = Partitioned.metrics
-end
-
-(* [`Partitioned] with parallelism made unconditional: when the caller
-   did not ask for a specific domain count through the options, shard
-   across the machine's recommended count. Everything else — key
-   detection, single-pool fallback — is [Partitioned.create]. *)
-module Par_partitioned_exec : EXECUTOR = struct
-  type t = Partitioned.stream
-
-  let name = "par-partitioned"
-
-  let create ?(options = Engine.default_options) automaton =
-    let domains =
-      if options.Engine.domains > 1 then options.Engine.domains
-      else Domain_pool.recommended ()
-    in
-    Partitioned.create ~options:{ options with Engine.domains } automaton
 
   let feed = Partitioned.feed
 
@@ -248,14 +218,12 @@ let register_brute_force m = brute_force := Some m
 module Auto_i = Instrument (Auto)
 module Plain_i = Instrument (Plain)
 module Partitioned_i = Instrument (Partitioned_exec)
-module Par_partitioned_i = Instrument (Par_partitioned_exec)
 module Naive_i = Instrument (Naive_exec)
 
 let of_strategy : strategy -> (module EXECUTOR) = function
   | `Auto -> (module Auto_i)
   | `Plain -> (module Plain_i)
   | `Partitioned -> (module Partitioned_i)
-  | `Par_partitioned -> (module Par_partitioned_i)
   | `Naive -> (module Naive_i)
   | `Brute_force -> (
       match !brute_force with
@@ -287,17 +255,13 @@ let population (Packed ((module E), t)) = E.population t
 
 let metrics (Packed ((module E), t)) = E.metrics t
 
-let drive ?(options = Engine.default_options) exec automaton events =
-  (* Chunk the sequence into [options.batch_size] arrays and push them
-     through the batched path: all per-batch amortizations (engine
-     prechecks, bucket handles, telemetry probes, domain-pool shipping)
-     activate from here without the caller changing shape. *)
-  let chunk = max 1 options.Engine.batch_size in
-  (* One buffer reused for every full chunk (executors don't retain the
+let iter_chunks size events f =
+  (* One buffer reused for every full chunk (consumers don't retain the
      array past the call — see {!EXECUTOR.feed_batch}); a fresh per-chunk
      array above ~256 words would be allocated on the major heap, and the
      resulting churn dominates the batch path's own cost. Allocated lazily
      off the first event since [Event.t] has no dummy value. *)
+  let size = max 1 size in
   let buf = ref [||] and n = ref 0 in
   let flush () =
     if !n > 0 then begin
@@ -305,17 +269,25 @@ let drive ?(options = Engine.default_options) exec automaton events =
         if !n = Array.length !buf then !buf else Array.sub !buf 0 !n
       in
       n := 0;
-      ignore (feed_batch exec arr)
+      f arr
     end
   in
   Seq.iter
     (fun e ->
-      if Array.length !buf = 0 then buf := Array.make chunk e;
+      if Array.length !buf = 0 then buf := Array.make size e;
       !buf.(!n) <- e;
       incr n;
-      if !n >= chunk then flush ())
+      if !n >= size then flush ())
     events;
-  flush ();
+  flush ()
+
+let drive ?(options = Engine.default_options) exec automaton events =
+  (* Chunk the sequence into [options.batch_size] arrays and push them
+     through the batched path: all per-batch amortizations (engine
+     prechecks, bucket handles, telemetry probes, domain-pool shipping)
+     activate from here without the caller changing shape. *)
+  iter_chunks options.Engine.batch_size events (fun chunk ->
+      ignore (feed_batch exec chunk));
   ignore (close exec);
   let raw = emitted exec in
   let finalize () =

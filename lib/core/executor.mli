@@ -20,26 +20,28 @@
 open Ses_event
 
 type strategy =
-  [ `Auto | `Plain | `Partitioned | `Par_partitioned | `Naive | `Brute_force ]
+  [ `Auto | `Plain | `Partitioned | `Naive | `Brute_force ]
 (** [`Auto] runs {!Planner.plan}'s choice of levers; [`Plain] the bare
     {!Engine}; [`Partitioned] per-key pools (with single-pool fallback);
-    [`Par_partitioned] per-key pools sharded across worker domains —
-    [options.domains] of them when > 1, else the machine's recommended
-    count (see {!Partitioned} for the sharded-mode contract: [feed]
-    returns [[]], reads quiesce, fall back to one sequential pool on
-    non-partitionable patterns); [`Naive] the exhaustive Definition 2
-    oracle; [`Brute_force] the one-automaton-per-ordering baseline of
-    Sec. 5.2.
+    [`Naive] the exhaustive Definition 2 oracle; [`Brute_force] the
+    one-automaton-per-ordering baseline of Sec. 5.2.
 
     [`Auto] and [`Partitioned] also shard when [options.domains > 1]:
     the domain count rides on {!Engine.options} so the planner, the
-    stream runner and the CLI pick it up with no call-site changes. *)
+    stream runner and the CLI pick it up with no call-site changes (see
+    {!Partitioned} for the sharded-mode contract: [feed] returns [[]],
+    reads quiesce, non-partitionable patterns fall back to one
+    sequential pool). *)
 
 val strategies : strategy list
 
 val strategy_name : strategy -> string
 
 val strategy_of_string : string -> (strategy, string) result
+(** Case-insensitive; accepts the {!strategy_name}s plus aliases
+    ([engine] for plain; [par-partitioned], [par_partitioned] and
+    [parallel] for partitioned, whose sharding [options.domains]
+    controls; [brute_force] and [bf]). *)
 
 val supports_shared_routing : strategy -> bool
 (** Whether {!Multi}'s shared plan may feed this strategy's executors
@@ -132,6 +134,12 @@ val population : packed -> int
 val metrics : packed -> Metrics.snapshot
 
 (** {1 The shared batch harness} *)
+
+val iter_chunks : int -> Event.t Seq.t -> (Event.t array -> unit) -> unit
+(** [iter_chunks size events f] hands [events] to [f] in chronological
+    chunks of [size] (at least 1; the last chunk may be shorter). Full
+    chunks share one reused buffer, so [f] must not keep the array past
+    its call. *)
 
 val drive :
   ?options:Engine.options ->

@@ -507,27 +507,8 @@ let run ?options ?strategy ?shared queries events =
   let t = create ?options ?strategy ?shared queries in
   (* Chunk the stream through [feed_batch] so the per-batch
      amortizations (shared-plan routing, engine prechecks, telemetry)
-     activate here too, mirroring {!Executor.drive}'s reused buffer:
-     batches never outlive the call, and the buffer is allocated lazily
-     off the first event since [Event.t] has no dummy value. *)
-  let chunk = max 1 t.options.Engine.batch_size in
-  let buf = ref [||] and n = ref 0 in
-  let flush () =
-    if !n > 0 then begin
-      let arr =
-        if !n = Array.length !buf then !buf else Array.sub !buf 0 !n
-      in
-      n := 0;
-      ignore (feed_batch t arr)
-    end
-  in
-  Seq.iter
-    (fun e ->
-      if Array.length !buf = 0 then buf := Array.make chunk e;
-      !buf.(!n) <- e;
-      incr n;
-      if !n >= chunk then flush ())
-    events;
-  flush ();
+     activate here too. *)
+  Executor.iter_chunks t.options.Engine.batch_size events (fun chunk ->
+      ignore (feed_batch t chunk));
   ignore (close t);
   outcomes t

@@ -7,8 +7,11 @@ open Ses_pattern
    leading run of event sets evaluated over one shared instance
    population up to the state where their automata diverge.
 
-   The merged-prefix evaluator below re-implements the {!Engine}'s
-   per-event loop over instances carrying an owner bitmask. Its
+   The merged-prefix evaluator below runs the {!Engine}'s per-event loop
+   on the same ConsumeEvent kernel ({!Kernel}), over instances carrying
+   an owner bitmask: the shared region adds only the per-owner
+   bookkeeping (boundary transitions, merge guards, populations), and
+   each owner's private region is the kernel run over its own store. Its
    exactness rests on three facts, each a consequence of signature
    equality and of routing clauses being the per-variable constant
    conditions themselves:
@@ -66,7 +69,6 @@ type grouping = {
 let merge_eligible options (u : alias_unit) =
   u.a_strategy = `Plain
   && options.Engine.filter_extras = []
-  && options.Engine.store = Engine.Indexed
   && (match options.Engine.filter with
      | Event_filter.No_filter | Event_filter.Strong -> true
      | Event_filter.Paper -> false)
@@ -234,47 +236,6 @@ let routing options (u : alias_unit) : (atom list list * bool) option =
 (* Merged-prefix evaluator.                                           *)
 (* ------------------------------------------------------------------ *)
 
-type minst = {
-  mid : int;
-  mstate : Varset.t;
-  mbindings : Substitution.binding list;
-  mcounts : int array;
-  mfirst_ts : Time.t;
-  mutable mowners : int;
-}
-
-type mtrans = {
-  mt_tr : Automaton.transition;
-  mt_consts : Condition.t list;
-  mt_vars : Condition.t list;
-  mt_bucket : minst Instance_store.handle;
-}
-
-type mguard = {
-  neg_var : int;
-  mg_conds : Condition.t list;
-  mg_consts : Condition.t list;
-}
-
-(* A state slot, used both for the shared prefix region (instances carry
-   owner masks) and for each owner's private region. *)
-type mslot = {
-  ms_state : Varset.t;
-  ms_accepting : bool;
-  ms_prepared : mtrans list;
-  ms_guards : mguard list;
-  ms_bucket : minst Instance_store.handle;
-  mutable ms_active : mtrans list;
-  mutable ms_stamp : int;
-}
-
-type boundary = {
-  b_tr : Automaton.transition;
-  b_consts : Condition.t list;
-  b_vars : Condition.t list;
-  b_bucket : minst Instance_store.handle;
-}
-
 type owner = {
   mutable o_regs : int list;
   mutable o_retired : bool;
@@ -283,16 +244,14 @@ type owner = {
   o_bit : int;
   o_index : int;  (* position in [g_owners]; [o_bit = 1 lsl o_index] *)
   o_automaton : Automaton.t;  (* the registered automaton, for finalize *)
-  o_nvars : int;
-  o_max_counts : int option array;
-  o_minima : (int * int) list;
+  o_k : Kernel.t;  (* the member's maxima, minima and metrics; group clock *)
   o_is_ender : bool;
   o_gated : bool;
-  o_boundaries : boundary list;
-  o_merge_guards : mguard list;
-  o_store : minst Instance_store.t;
-  o_slots : mslot array;  (* private states, ascending *)
-  o_m : Metrics.t;
+  o_merge : Kernel.slot;
+      (* the member's own view of the merge state: its boundary
+         transitions (targets in [o_store]) and the guards armed there *)
+  o_store : Kernel.instance Instance_store.t;
+  o_slots : Kernel.slot array;  (* private states, ascending *)
   mutable o_pop : int;
   mutable o_routed : int;
   (* Expiries swept at events this (gated) owner's engine would have
@@ -305,133 +264,56 @@ type owner = {
      group's emitter list awaiting collection. *)
   mutable o_base : Substitution.t list;
   mutable o_marked : bool;
-  (* per-event caches, keyed by the group stamp *)
-  mutable ob_active : boundary list;
-  mutable ob_stamp : int;
-  mutable omg_may : bool;
-  mutable omg_stamp : int;
 }
 
 type merged = {
   g_tau : Time.duration;
   g_depth : int;
-  g_prefix_vars : int list;
-  g_max_counts : int option array;  (* rep pattern; prefix vars only used *)
-  g_store : minst Instance_store.t;
-  g_slots : mslot array;  (* shared prefix states, ascending *)
-  g_start : mslot;
-  g_merge : mslot;
+  g_k : Kernel.t;  (* the representative's maxima; the group clock *)
+  g_store : Kernel.instance Instance_store.t;
+  g_slots : Kernel.slot array;  (* shared prefix states, ascending *)
+  g_start : Kernel.slot;
+  g_merge : Kernel.slot;
   g_owners : owner array;
   mutable g_all_gated : bool;
-  g_fresh : minst;
+  g_fresh : Kernel.instance;
   mutable g_emitters : owner list;  (* owners with uncollected emissions *)
-  mutable g_stamp : int;
-  mutable g_next_id : int;
   g_span : Telemetry.Span.t option;
   g_gauge : Telemetry.Gauge.t option;
 }
 
-let substitution_of inst = List.rev inst.mbindings
-
-let m_is_fresh inst = inst.mbindings = []
-
-let m_expired tau inst e =
-  (not (m_is_fresh inst)) && Time.span (Event.ts e) inst.mfirst_ts > tau
-
-let const_holds c e =
-  Condition.holds_binding c ~var:c.Condition.var ~event:e []
-
 let iter_owner_bits g mask f =
   Array.iter (fun o -> if o.o_bit land mask <> 0 then f o) g.g_owners
 
-let make_mslot ~automaton ~store ~accept q =
-  let prepared =
-    List.map
-      (fun (tr : Automaton.transition) ->
-        let consts, vars = List.partition Condition.is_constant tr.conds in
-        {
-          mt_tr = tr;
-          mt_consts = consts;
-          mt_vars = vars;
-          mt_bucket = Instance_store.handle store tr.tgt;
-        })
-      (Automaton.outgoing automaton q)
-  in
-  {
-    ms_state = q;
-    ms_accepting = Varset.equal q accept;
-    ms_prepared = prepared;
-    ms_guards = [];
-    ms_bucket = Instance_store.handle store q;
-    ms_active = [];
-    ms_stamp = 0;
-  }
-
-let guards_of p =
-  (* Negation guards exactly as the engine arms them: at the state
-     binding all variables of sets 0 .. boundary. *)
-  List.map
-    (fun (b, nv) ->
-      let prefix =
-        Varset.of_list
-          (List.concat_map (Pattern.set_vars p) (List.init (b + 1) Fun.id))
-      in
-      let conds = Pattern.conditions_on p nv in
-      ( b,
-        prefix,
-        {
-          neg_var = nv;
-          mg_conds = conds;
-          mg_consts = List.filter Condition.is_constant conds;
-        } ))
-    (Pattern.negations p)
+let is_merge g (s : Kernel.slot) = Varset.equal s.slot_state g.g_merge.slot_state
 
 let create_merged ~options ~telemetry_idx ~depth members =
   let rep = List.hd members in
   let rep_p = Automaton.pattern rep.a_effective in
   let prefix_full = Query_sig.prefix_vars rep_p depth in
-  let prefix_vars = Varset.to_list prefix_full in
-  let g_store =
-    Instance_store.create ~ts_of:(fun i -> i.mfirst_ts) ~seq_of:(fun i -> i.mid) ()
-  in
+  let in_prefix q = Varset.subset q prefix_full in
+  let clock = Kernel.new_clock () in
+  let g_store = Kernel.store () in
   (* Shared slots: states within the prefix, from the representative
-     (signature equality makes every member's copy identical). Merge
-     guards (boundary = depth−1) are per owner, so the rep's copy of
-     them is not armed here. *)
-  let shared_states =
-    List.filter (fun q -> Varset.subset q prefix_full) (Automaton.states rep.a_effective)
-  in
+     (signature equality makes every member's copy identical), keeping
+     only transitions that stay inside the prefix: at the merge state the
+     advancing transitions belong to each owner. Merge guards (boundary
+     = depth−1, armed at the merge state) are per owner too. *)
   let g_slots =
     Array.of_list
       (List.map
          (fun q ->
-           let slot =
-             make_mslot ~automaton:rep.a_effective ~store:g_store
-               ~accept:(Varset.of_list []) q
-           in
-           (* Keep only transitions staying inside the prefix: at the
-              merge state the outgoing advancing transitions belong to
-              each owner. *)
-           {
-             slot with
-             ms_prepared =
-               List.filter
-                 (fun mt -> Varset.subset mt.mt_tr.Automaton.tgt prefix_full)
-                 slot.ms_prepared;
-             ms_guards =
-               List.filter_map
-                 (fun (b, prefix, gd) ->
-                   if b <= depth - 2 && Varset.equal prefix q then Some gd
-                   else None)
-                 (guards_of rep_p);
-           })
-         shared_states)
+           Kernel.slot
+             ~keep:(fun tr -> in_prefix tr.Automaton.tgt)
+             ~armed:(not (Varset.equal q prefix_full))
+             rep.a_effective g_store q)
+         (List.filter in_prefix (Automaton.states rep.a_effective)))
   in
   let find_slot q =
-    Array.to_list g_slots |> List.find (fun s -> Varset.equal s.ms_state q)
+    List.find
+      (fun (s : Kernel.slot) -> Varset.equal s.slot_state q)
+      (Array.to_list g_slots)
   in
-  let g_start = find_slot (Automaton.start rep.a_effective) in
-  let g_merge = find_slot prefix_full in
   let max_nvars =
     List.fold_left
       (fun acc u -> max acc (Pattern.n_vars (Automaton.pattern u.a_effective)))
@@ -443,89 +325,35 @@ let create_merged ~options ~telemetry_idx ~depth members =
          (fun k u ->
            let a = u.a_effective in
            let p = Automaton.pattern a in
-           let n_vars = Pattern.n_vars p in
-           let store =
-             Instance_store.create ~ts_of:(fun i -> i.mfirst_ts)
-               ~seq_of:(fun i -> i.mid) ()
-           in
-           let is_ender = Pattern.n_sets p = depth in
-           let accept = Automaton.accept a in
-           let guards = guards_of p in
-           let private_states =
-             List.filter
-               (fun q -> not (Varset.subset q prefix_full))
-               (Automaton.states a)
-           in
-           let o_slots =
-             Array.of_list
-               (List.map
-                  (fun q ->
-                    let slot = make_mslot ~automaton:a ~store ~accept q in
-                    {
-                      slot with
-                      ms_guards =
-                        List.filter_map
-                          (fun (b, prefix, gd) ->
-                            if b >= depth && Varset.equal prefix q then Some gd
-                            else None)
-                          guards;
-                    })
-                  private_states)
-           in
-           let boundaries =
-             List.filter_map
-               (fun (tr : Automaton.transition) ->
-                 if Varset.subset tr.tgt prefix_full then None
-                 else
-                   let consts, vars =
-                     List.partition Condition.is_constant tr.conds
-                   in
-                   Some
-                     {
-                       b_tr = tr;
-                       b_consts = consts;
-                       b_vars = vars;
-                       b_bucket = Instance_store.handle store tr.tgt;
-                     })
-               (Automaton.outgoing a prefix_full)
-           in
+           let store = Kernel.store () in
            {
              o_regs = u.a_regs;
              o_retired = false;
              o_bit = 1 lsl k;
              o_index = k;
              o_automaton = u.a_automaton;
-             o_nvars = n_vars;
-             o_max_counts =
-               Array.init n_vars (fun v -> Pattern.max_count p v);
-             o_minima =
-               List.filter_map
-                 (fun v ->
-                   let m = Pattern.min_count p v in
-                   if m > 1 then Some (v, m) else None)
-                 (List.init n_vars Fun.id);
-             o_is_ender = is_ender;
+             o_k = Kernel.create ~clock p;
+             o_is_ender = Pattern.n_sets p = depth;
              o_gated =
                options.Engine.filter = Event_filter.Strong
                && Event_filter.strong_clauses p <> None;
-             o_boundaries = boundaries;
-             o_merge_guards =
-               List.filter_map
-                 (fun (b, _, gd) -> if b = depth - 1 then Some gd else None)
-                 guards;
+             o_merge =
+               Kernel.slot
+                 ~keep:(fun tr -> not (in_prefix tr.Automaton.tgt))
+                 a store prefix_full;
              o_store = store;
-             o_slots;
-             o_m = Metrics.create ();
+             o_slots =
+               Array.of_list
+                 (List.map (Kernel.slot a store)
+                    (List.filter
+                       (fun q -> not (in_prefix q))
+                       (Automaton.states a)));
              o_pop = 0;
              o_routed = 0;
              o_deferred_expired = 0;
              o_emissions = [];
              o_base = [];
              o_marked = false;
-             ob_active = [];
-             ob_stamp = 0;
-             omg_may = false;
-             omg_stamp = 0;
            })
          members)
   in
@@ -541,27 +369,20 @@ let create_merged ~options ~telemetry_idx ~depth members =
   {
     g_tau = Automaton.tau rep.a_effective;
     g_depth = depth;
-    g_prefix_vars = prefix_vars;
-    g_max_counts =
-      Array.init (Pattern.n_vars rep_p) (fun v -> Pattern.max_count rep_p v);
+    g_k = Kernel.create ~clock rep_p;
     g_store;
     g_slots;
-    g_start;
-    g_merge;
+    g_start = find_slot (Automaton.start rep.a_effective);
+    g_merge = find_slot prefix_full;
     g_owners = owners;
     g_all_gated = Array.for_all (fun o -> o.o_gated) owners;
     g_emitters = [];
+    (* Shared counts span every member's variables: prefix variables
+       agree across members, the rest stay zero until a boundary fires. *)
     g_fresh =
-      {
-        mid = 0;
-        mstate = Automaton.start rep.a_effective;
-        mbindings = [];
-        mcounts = Array.make (max max_nvars 1) 0;
-        mfirst_ts = 0;
-        mowners = (1 lsl Array.length owners) - 1;
-      };
-    g_stamp = 0;
-    g_next_id = 1;
+      Kernel.fresh ~n_vars:max_nvars
+        ~owners:((1 lsl Array.length owners) - 1)
+        (Automaton.start rep.a_effective);
     g_span = span;
     g_gauge = gauge;
   }
@@ -570,67 +391,13 @@ let group_nonempty g =
   Instance_store.size g.g_store > 0
   || Array.exists (fun o -> Instance_store.size o.o_store > 0) g.g_owners
 
-let next_id g =
-  let id = g.g_next_id in
-  g.g_next_id <- id + 1;
-  id
-
-let slot_candidates stamp slot e =
-  if slot.ms_stamp = stamp then slot.ms_active
-  else begin
-    let trs =
-      List.filter
-        (fun mt -> List.for_all (fun c -> const_holds c e) mt.mt_consts)
-        slot.ms_prepared
-    in
-    slot.ms_active <- trs;
-    slot.ms_stamp <- stamp;
-    trs
-  end
-
-let slot_guards_may_fire slot e =
-  slot.ms_guards <> []
-  && List.exists
-       (fun gd -> List.for_all (fun c -> const_holds c e) gd.mg_consts)
-       slot.ms_guards
-
-let owner_boundaries g o e =
-  if o.ob_stamp = g.g_stamp then o.ob_active
-  else begin
-    let bs =
-      List.filter
-        (fun b -> List.for_all (fun c -> const_holds c e) b.b_consts)
-        o.o_boundaries
-    in
-    o.ob_active <- bs;
-    o.ob_stamp <- g.g_stamp;
-    bs
-  end
-
-let owner_merge_guards_may g o e =
-  if o.omg_stamp = g.g_stamp then o.omg_may
-  else begin
-    let may =
-      o.o_merge_guards <> []
-      && List.exists
-           (fun gd -> List.for_all (fun c -> const_holds c e) gd.mg_consts)
-           o.o_merge_guards
-    in
-    o.omg_may <- may;
-    o.omg_stamp <- g.g_stamp;
-    may
-  end
-
-let minima_ok o counts = List.for_all (fun (v, m) -> counts.(v) >= m) o.o_minima
-
 let emit_owner g o inst =
-  let subst = substitution_of inst in
-  o.o_emissions <- subst :: o.o_emissions;
+  o.o_emissions <- Kernel.substitution inst :: o.o_emissions;
   if not o.o_marked then begin
     o.o_marked <- true;
     g.g_emitters <- o :: g.g_emitters
   end;
-  Metrics.on_match o.o_m
+  Metrics.on_match o.o_k.m
 
 (* Shared-region expiry of one instance: count it for every owner, and
    emit it for enders (whose accepting state is the merge state). A
@@ -638,258 +405,124 @@ let emit_owner g o inst =
    routed event — its own engine would sweep only then (and an expiry
    with no later kept event is never counted: [Engine.close] drops
    non-accepting instances silently). *)
-let expire_shared g s inst rmask =
-  iter_owner_bits g inst.mowners (fun o ->
+let expire_shared g s (inst : Kernel.instance) rmask =
+  iter_owner_bits g inst.owners (fun o ->
       if o.o_gated && o.o_bit land rmask = 0 then
         o.o_deferred_expired <- o.o_deferred_expired + 1
-      else Metrics.on_expired o.o_m;
+      else Metrics.on_expired o.o_k.m;
       o.o_pop <- o.o_pop - 1;
-      if
-        o.o_is_ender
-        && Varset.equal s.ms_state g.g_merge.ms_state
-        && minima_ok o inst.mcounts
-      then emit_owner g o inst)
+      if o.o_is_ender && is_merge g s && Kernel.accepts o.o_k inst then
+        emit_owner g o inst)
 
-(* ConsumeEvent over a shared instance: shared-prefix transitions fire
-   uniformly for every owner in the mask; at the merge state each routed
-   owner additionally tries its own boundary transitions (in the
-   engine's transition order: prefix loops first, then the advancing
-   transitions). Survival is per owner — the instance stays with the
-   owners for which nothing fired and no guard killed. *)
-let consume_shared g s inst e rmask ~fresh =
+(* ConsumeEvent over a shared instance, from the kernel's primitives:
+   shared-prefix transitions fire uniformly for every owner in the mask;
+   at the merge state each routed owner additionally tries its own
+   boundary transitions (in the engine's transition order: prefix loops
+   first, then the advancing transitions). Survival is per owner — the
+   instance stays with the owners for which nothing fired and no guard
+   killed. *)
+let consume_shared g s (inst : Kernel.instance) e rmask ~fresh =
   let shared_fired = ref false in
   List.iter
-    (fun mt ->
-      let tr = mt.mt_tr in
-      let below_max =
-        match g.g_max_counts.(tr.var) with
-        | None -> true
-        | Some m ->
-            (not (Varset.mem tr.var tr.src)) || inst.mcounts.(tr.var) < m
-      in
-      if
-        below_max
-        && List.for_all
-             (fun c ->
-               Condition.holds_binding c ~var:tr.var ~event:e
-                 inst.mbindings)
-             mt.mt_vars
-      then begin
+    (fun (pt : Kernel.transition) ->
+      if Kernel.fires g.g_k pt inst e then begin
         shared_fired := true;
-        let counts = Array.copy inst.mcounts in
-        counts.(tr.var) <- counts.(tr.var) + 1;
-        let succ =
-          {
-            mid = next_id g;
-            mstate = tr.tgt;
-            mbindings = (tr.var, e) :: inst.mbindings;
-            mcounts = counts;
-            mfirst_ts = (if m_is_fresh inst then Event.ts e else inst.mfirst_ts);
-            mowners = inst.mowners;
-          }
-        in
-        Instance_store.stage_h mt.mt_bucket succ;
-        iter_owner_bits g inst.mowners (fun o ->
-            Metrics.on_transition o.o_m;
-            Metrics.on_instance_created o.o_m;
+        Instance_store.stage_h pt.tgt_bucket (Kernel.successor g.g_k pt inst e);
+        iter_owner_bits g inst.owners (fun o ->
+            Metrics.on_transition o.o_k.m;
+            Metrics.on_instance_created o.o_k.m;
             o.o_pop <- o.o_pop + 1)
       end)
-    (slot_candidates g.g_stamp s e);
+    (Kernel.candidates g.g_k s e);
   let bfired = ref 0 in
-  if (not fresh) && Varset.equal s.ms_state g.g_merge.ms_state then
-    Array.iter
-      (fun o ->
-        if o.o_bit land inst.mowners <> 0 && o.o_bit land rmask <> 0 then
-          List.iter
-            (fun b ->
-              let tr = b.b_tr in
-              let below_max =
-                match o.o_max_counts.(tr.var) with
-                | None -> true
-                | Some m ->
-                    (not (Varset.mem tr.var tr.src))
-                    || inst.mcounts.(tr.var) < m
-              in
-              if
-                below_max
-                && List.for_all
-                     (fun c ->
-                       Condition.holds_binding c ~var:tr.var ~event:e
-                         inst.mbindings)
-                     b.b_vars
-              then begin
-                bfired := !bfired lor o.o_bit;
-                let counts = Array.make o.o_nvars 0 in
-                List.iter (fun v -> counts.(v) <- inst.mcounts.(v)) g.g_prefix_vars;
-                counts.(tr.var) <- counts.(tr.var) + 1;
-                let succ =
-                  {
-                    mid = next_id g;
-                    mstate = tr.tgt;
-                    mbindings = (tr.var, e) :: inst.mbindings;
-                    mcounts = counts;
-                    mfirst_ts = inst.mfirst_ts;
-                    mowners = o.o_bit;
-                  }
-                in
-                Instance_store.stage_h b.b_bucket succ;
-                Metrics.on_transition o.o_m;
-                Metrics.on_instance_created o.o_m;
-                o.o_pop <- o.o_pop + 1
-              end)
-            (owner_boundaries g o e))
-      g.g_owners;
+  if (not fresh) && is_merge g s then
+    iter_owner_bits g (inst.owners land rmask) (fun o ->
+        List.iter
+          (fun (pt : Kernel.transition) ->
+            if Kernel.fires o.o_k pt inst e then begin
+              bfired := !bfired lor o.o_bit;
+              let succ = Kernel.successor o.o_k pt inst e in
+              succ.owners <- o.o_bit;
+              Instance_store.stage_h pt.tgt_bucket succ;
+              Metrics.on_transition o.o_k.m;
+              Metrics.on_instance_created o.o_k.m;
+              o.o_pop <- o.o_pop + 1
+            end)
+          (Kernel.candidates o.o_k o.o_merge e));
   if fresh then false
   else if !shared_fired then begin
-    iter_owner_bits g inst.mowners (fun o -> o.o_pop <- o.o_pop - 1);
+    iter_owner_bits g inst.owners (fun o -> o.o_pop <- o.o_pop - 1);
     false
   end
   else begin
-    let mask = ref (inst.mowners land lnot !bfired) in
-    iter_owner_bits g (inst.mowners land !bfired) (fun o ->
+    let mask = ref (inst.owners land lnot !bfired) in
+    iter_owner_bits g (inst.owners land !bfired) (fun o ->
         o.o_pop <- o.o_pop - 1);
     if !mask = 0 then false
-    else begin
-      let shared_killed =
-        s.ms_guards <> []
-        && List.exists
-             (fun gd ->
-               List.for_all
-                 (fun c ->
-                   Condition.holds_binding c ~var:gd.neg_var ~event:e
-                     inst.mbindings)
-                 gd.mg_conds)
-             s.ms_guards
-      in
-      if shared_killed then begin
-        iter_owner_bits g !mask (fun o ->
-            Metrics.on_killed o.o_m;
-            o.o_pop <- o.o_pop - 1);
-        false
-      end
-      else begin
-        if Varset.equal s.ms_state g.g_merge.ms_state then
-          Array.iter
-            (fun o ->
-              if
-                o.o_bit land !mask <> 0
-                && owner_merge_guards_may g o e
-                && List.exists
-                     (fun gd ->
-                       List.for_all
-                         (fun c ->
-                           Condition.holds_binding c ~var:gd.neg_var ~event:e
-                             inst.mbindings)
-                         gd.mg_conds)
-                     o.o_merge_guards
-              then begin
-                mask := !mask land lnot o.o_bit;
-                Metrics.on_killed o.o_m;
-                o.o_pop <- o.o_pop - 1
-              end)
-            g.g_owners;
-        if !mask = 0 then false
-        else begin
-          inst.mowners <- !mask;
-          true
-        end
-      end
-    end
-  end
-
-(* An owner's private region: the engine loop verbatim, over its own
-   store. [full] when the event is routed to the owner; otherwise only
-   the expiry sweep can matter (see the module comment). *)
-let consume_private g o slot inst e =
-  let fired = ref false in
-  List.iter
-    (fun mt ->
-      let tr = mt.mt_tr in
-      let below_max =
-        match o.o_max_counts.(tr.var) with
-        | None -> true
-        | Some m ->
-            (not (Varset.mem tr.var tr.src)) || inst.mcounts.(tr.var) < m
-      in
-      if
-        below_max
-        && List.for_all
-             (fun c ->
-               Condition.holds_binding c ~var:tr.var ~event:e
-                 inst.mbindings)
-             mt.mt_vars
-      then begin
-        fired := true;
-        let counts = Array.copy inst.mcounts in
-        counts.(tr.var) <- counts.(tr.var) + 1;
-        let succ =
-          {
-            mid = next_id g;
-            mstate = tr.tgt;
-            mbindings = (tr.var, e) :: inst.mbindings;
-            mcounts = counts;
-            mfirst_ts = inst.mfirst_ts;
-            mowners = o.o_bit;
-          }
-        in
-        Instance_store.stage_h mt.mt_bucket succ;
-        Metrics.on_transition o.o_m;
-        Metrics.on_instance_created o.o_m;
-        o.o_pop <- o.o_pop + 1
-      end)
-    (slot_candidates g.g_stamp slot e);
-  if !fired then begin
-    o.o_pop <- o.o_pop - 1;
-    false
-  end
-  else begin
-    let killed =
-      slot.ms_guards <> []
-      && List.exists
-           (fun gd ->
-             List.for_all
-               (fun c ->
-                 Condition.holds_binding c ~var:gd.neg_var ~event:e
-                   inst.mbindings)
-               gd.mg_conds)
-           slot.ms_guards
-    in
-    if killed then begin
-      Metrics.on_killed o.o_m;
-      o.o_pop <- o.o_pop - 1;
+    else if Kernel.killed s inst e then begin
+      iter_owner_bits g !mask (fun o ->
+          Metrics.on_killed o.o_k.m;
+          o.o_pop <- o.o_pop - 1);
       false
     end
-    else true
+    else begin
+      if is_merge g s then
+        iter_owner_bits g !mask (fun o ->
+            if
+              Kernel.guards_may_fire o.o_k o.o_merge e
+              && Kernel.killed o.o_merge inst e
+            then begin
+              mask := !mask land lnot o.o_bit;
+              Metrics.on_killed o.o_k.m;
+              o.o_pop <- o.o_pop - 1
+            end);
+      if !mask = 0 then false
+      else begin
+        inst.owners <- !mask;
+        true
+      end
+    end
   end
 
-let sweep_private_slot g o slot e ~routed =
-  if Instance_store.handle_size slot.ms_bucket > 0 then
-    List.iter
-      (fun inst ->
-        if o.o_gated && not routed then
-          o.o_deferred_expired <- o.o_deferred_expired + 1
-        else Metrics.on_expired o.o_m;
-        o.o_pop <- o.o_pop - 1;
-        if slot.ms_accepting && minima_ok o inst.mcounts then emit_owner g o inst)
-      (Instance_store.pop_expired_h slot.ms_bucket
-         ~expired:(fun i -> m_expired g.g_tau i e))
-
+(* An owner's private region: the engine loop over its own store. [full]
+   when the event is routed to the owner; otherwise only the expiry
+   sweep can matter (see the module comment). *)
 let process_private g o e ~full =
+  let on_succ (pt : Kernel.transition) succ =
+    Instance_store.stage_h pt.tgt_bucket succ;
+    o.o_pop <- o.o_pop + 1
+  in
   Array.iter
-    (fun slot ->
-      sweep_private_slot g o slot e ~routed:full;
-      if full && Instance_store.handle_size slot.ms_bucket > 0 then begin
-        let scan =
-          slot_candidates g.g_stamp slot e <> [] || slot_guards_may_fire slot e
+    (fun (slot : Kernel.slot) ->
+      if Instance_store.handle_size slot.bucket > 0 then begin
+        let dead =
+          Instance_store.pop_expired_h slot.bucket ~expired:(fun i ->
+              Kernel.expired g.g_tau i e)
         in
-        if scan then begin
-          let insts = Instance_store.take_all_h slot.ms_bucket in
-          let stayed =
-            List.filter (fun i -> consume_private g o slot i e) insts
-          in
-          Instance_store.put_back_h slot.ms_bucket stayed
-        end
-      end)
+        List.iter
+          (fun _ ->
+            if o.o_gated && not full then
+              o.o_deferred_expired <- o.o_deferred_expired + 1
+            else Metrics.on_expired o.o_k.m;
+            o.o_pop <- o.o_pop - 1)
+          dead;
+        if slot.accepting then Kernel.flush o.o_k dead ~emit:(emit_owner g o)
+      end;
+      if
+        full
+        && Instance_store.handle_size slot.bucket > 0
+        && (Kernel.candidates o.o_k slot e <> []
+           || Kernel.guards_may_fire o.o_k slot e)
+      then
+        Instance_store.put_back_h slot.bucket
+          (List.filter
+             (fun i ->
+               match Kernel.consume o.o_k slot i e ~on_succ with
+               | Kernel.Kept -> true
+               | Kernel.Fired | Kernel.Killed | Kernel.Spent ->
+                   o.o_pop <- o.o_pop - 1;
+                   false)
+             (Instance_store.take_all_h slot.bucket)))
     o.o_slots
 
 (* One event through the group. [rmask] is the owner bitmask the
@@ -903,47 +536,42 @@ let process_private g o e ~full =
    owner's engine sweeps on every event it keeps, i.e. all of them). *)
 let process_merged g e rmask =
   if rmask <> 0 || ((not g.g_all_gated) && group_nonempty g) then begin
-    g.g_stamp <- g.g_stamp + 1;
+    Kernel.tick g.g_k;
     let tok =
       match g.g_span with None -> 0 | Some sp -> Telemetry.Span.start sp
     in
     (* This is the routed owners' "next kept event": expiries their
        engines would sweep now were already popped earlier — count. *)
-    Array.iter
-      (fun o ->
-        if o.o_bit land rmask <> 0 && o.o_deferred_expired > 0 then begin
-          for _ = 1 to o.o_deferred_expired do
-            Metrics.on_expired o.o_m
-          done;
-          o.o_deferred_expired <- 0
-        end)
-      g.g_owners;
+    iter_owner_bits g rmask (fun o ->
+        for _ = 1 to o.o_deferred_expired do
+          Metrics.on_expired o.o_k.m
+        done;
+        o.o_deferred_expired <- 0);
     ignore (consume_shared g g.g_start g.g_fresh e rmask ~fresh:true);
     Array.iter
-      (fun s ->
-        if Instance_store.handle_size s.ms_bucket > 0 then begin
+      (fun (s : Kernel.slot) ->
+        if Instance_store.handle_size s.bucket > 0 then begin
           List.iter
             (fun inst -> expire_shared g s inst rmask)
-            (Instance_store.pop_expired_h s.ms_bucket
-               ~expired:(fun i -> m_expired g.g_tau i e));
-          let is_merge = Varset.equal s.ms_state g.g_merge.ms_state in
+            (Instance_store.pop_expired_h s.bucket ~expired:(fun i ->
+                 Kernel.expired g.g_tau i e));
           let scan =
-            slot_candidates g.g_stamp s e <> []
-            || slot_guards_may_fire s e
-            || (is_merge
+            Kernel.candidates g.g_k s e <> []
+            || Kernel.guards_may_fire g.g_k s e
+            || is_merge g s
                && Array.exists
                     (fun o ->
                       o.o_bit land rmask <> 0
-                      && (owner_boundaries g o e <> []
-                         || owner_merge_guards_may g o e))
-                    g.g_owners)
+                      && (Kernel.candidates o.o_k o.o_merge e <> []
+                         || Kernel.guards_may_fire o.o_k o.o_merge e))
+                    g.g_owners
           in
-          if scan && Instance_store.handle_size s.ms_bucket > 0 then begin
-            let insts = Instance_store.take_all_h s.ms_bucket in
+          if scan && Instance_store.handle_size s.bucket > 0 then begin
+            let insts = Instance_store.take_all_h s.bucket in
             let stayed =
               List.filter (fun i -> consume_shared g s i e rmask ~fresh:false) insts
             in
-            Instance_store.put_back_h s.ms_bucket stayed
+            Instance_store.put_back_h s.bucket stayed
           end
         end)
       g.g_slots;
@@ -960,10 +588,10 @@ let process_merged g e rmask =
       (fun o ->
         if o.o_bit land rmask <> 0 then begin
           Instance_store.commit o.o_store;
-          Metrics.sample_population o.o_m o.o_pop
+          Metrics.sample_population o.o_k.m o.o_pop
         end
         else if (not o.o_gated) && not o.o_retired then
-          Metrics.sample_population o.o_m o.o_pop)
+          Metrics.sample_population o.o_k.m o.o_pop)
       g.g_owners;
     (match g.g_span with None -> () | Some sp -> Telemetry.Span.stop sp tok);
     match g.g_gauge with
@@ -971,27 +599,28 @@ let process_merged g e rmask =
     | Some gauge -> Telemetry.Gauge.observe gauge (Instance_store.size g.g_store)
   end
 
+(* The owner's accepting instances, in the engine's close order — the
+   merge bucket for an ender (which accepts there), its private
+   accepting buckets in slot order otherwise — handed to [emit] through
+   the kernel's flush without leaving their buckets. *)
+let flush_owner g o ~emit =
+  let peek h =
+    let insts = Instance_store.take_all_h h in
+    Instance_store.put_back_h h insts;
+    insts
+  in
+  if o.o_is_ender then
+    Kernel.flush o.o_k ~owner:o.o_bit (peek g.g_merge.bucket) ~emit
+  else
+    Array.iter
+      (fun (slot : Kernel.slot) ->
+        if slot.accepting then Kernel.flush o.o_k (peek slot.bucket) ~emit)
+      o.o_slots
+
 let close_merged g =
-  (* Enders flush from the merge bucket, every other owner from its own
-     accepting bucket — each in bucket order, as the engine does. *)
-  let merge_insts = Instance_store.take_all_h g.g_merge.ms_bucket in
   Array.iter
     (fun o ->
-      if o.o_is_ender then
-        List.iter
-          (fun inst ->
-            if o.o_bit land inst.mowners <> 0 && minima_ok o inst.mcounts then
-              emit_owner g o inst)
-          merge_insts
-      else
-        Array.iter
-          (fun slot ->
-            if slot.ms_accepting then
-              List.iter
-                (fun inst ->
-                  if minima_ok o inst.mcounts then emit_owner g o inst)
-                (Instance_store.take_all_h slot.ms_bucket))
-          o.o_slots;
+      flush_owner g o ~emit:(emit_owner g o);
       Instance_store.clear o.o_store;
       o.o_pop <- 0;
       (* Expiries with no later kept event are never counted. *)
@@ -1370,54 +999,30 @@ let close t =
 (* ------------------------------------------------------------------ *)
 
 (* Retiring the last registration of a merged owner ends that member's
-   run as [Engine.close] would: flush its accepting instances (enders
-   accept at the merge state, everyone else in a private slot), then
-   clear its bit from every shared instance — instances owned by nobody
-   else die with it — and empty its private store. The surviving
-   owners' masks, stores and metrics are untouched, so their behaviour
-   from here on equals a plan built without the retired member. *)
+   run: its bit is cleared from every shared instance — instances owned
+   by nobody else die with it — and its private store is emptied. The
+   surviving owners' masks, stores and metrics are untouched, so their
+   behaviour from here on equals a plan built without the retired
+   member. *)
 let retire_owner g (o : owner) =
-  (* Close-order flush: merge bucket first (enders), then the private
-     accepting buckets in slot order — matching [close_merged]. *)
-  let flushed = ref [] in
-  let emit inst =
-    flushed := substitution_of inst :: !flushed;
-    Metrics.on_match o.o_m
-  in
-  if o.o_is_ender then begin
-    let insts = Instance_store.take_all_h g.g_merge.ms_bucket in
-    List.iter
-      (fun inst ->
-        if o.o_bit land inst.mowners <> 0 && minima_ok o inst.mcounts then
-          emit inst)
-      insts;
-    Instance_store.put_back_h g.g_merge.ms_bucket insts
-  end;
-  Array.iter
-    (fun slot ->
-      if slot.ms_accepting then
-        List.iter
-          (fun inst -> if minima_ok o inst.mcounts then emit inst)
-          (Instance_store.take_all_h slot.ms_bucket))
-    o.o_slots;
   (* Clear the owner's bit from the shared region; sole-owner instances
      drop out entirely. *)
   Array.iter
-    (fun slot ->
-      if Instance_store.handle_size slot.ms_bucket > 0 then begin
-        let insts = Instance_store.take_all_h slot.ms_bucket in
+    (fun (slot : Kernel.slot) ->
+      if Instance_store.handle_size slot.bucket > 0 then begin
+        let insts = Instance_store.take_all_h slot.bucket in
         let kept =
           List.filter
-            (fun (i : minst) ->
-              let m = i.mowners land lnot o.o_bit in
+            (fun (i : Kernel.instance) ->
+              let m = i.owners land lnot o.o_bit in
               if m = 0 then false
               else begin
-                i.mowners <- m;
+                i.owners <- m;
                 true
               end)
             insts
         in
-        Instance_store.put_back_h slot.ms_bucket kept
+        Instance_store.put_back_h slot.bucket kept
       end)
     g.g_slots;
   Instance_store.clear o.o_store;
@@ -1425,11 +1030,9 @@ let retire_owner g (o : owner) =
   o.o_deferred_expired <- 0;
   o.o_retired <- true;
   o.o_base <- o.o_emissions;
-  g.g_fresh.mowners <- g.g_fresh.mowners land lnot o.o_bit;
+  g.g_fresh.owners <- g.g_fresh.owners land lnot o.o_bit;
   g.g_all_gated <-
-    Array.for_all (fun o -> o.o_retired || o.o_gated) g.g_owners;
-  (* Full raw history, oldest first: the live emissions then the flush. *)
-  List.rev (!flushed @ o.o_emissions)
+    Array.for_all (fun o -> o.o_retired || o.o_gated) g.g_owners
 
 let events_fed t = t.sp_total_events
 
@@ -1457,7 +1060,7 @@ let adjust_metrics t ~mode ~fed snap =
 
 let owner_metrics t (o : owner) =
   let n = t.sp_total_events in
-  let snap = Metrics.snapshot o.o_m in
+  let snap = Metrics.snapshot o.o_k.m in
   if o.o_gated then
     {
       snap with
@@ -1577,11 +1180,20 @@ let retire t name =
         | U_merged g ->
             let o = g.g_owners.(oi) in
             o.o_regs <- List.filter (fun x -> x <> r) o.o_regs;
-            if o.o_regs = [] then begin
-              let raw = retire_owner g o in
-              (raw, owner_metrics t o)
-            end
-            else (List.rev o.o_emissions, owner_metrics t o)
+            (* This name's run ends as [Engine.close] would end it: with
+               the flush of the owner's accepting instances, read in
+               place since an aliased sibling may keep them alive. *)
+            let flushed = ref [] in
+            flush_owner g o ~emit:(fun inst ->
+                flushed := Kernel.substitution inst :: !flushed);
+            let metrics = owner_metrics t o in
+            if o.o_regs = [] then retire_owner g o;
+            ( List.rev (!flushed @ o.o_emissions),
+              {
+                metrics with
+                Metrics.matches_emitted =
+                  metrics.Metrics.matches_emitted + List.length !flushed;
+              } )
         | U_single _ -> assert false)
   in
   t.sp_retired.(r) <- true;

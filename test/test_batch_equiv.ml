@@ -120,12 +120,12 @@ let sharded_batched_equals_per_event =
       List.for_all
         (fun domains ->
           let reference =
-            observe ~domains ~batch:None `Par_partitioned pat r
+            observe ~domains ~batch:None `Partitioned pat r
           in
           List.for_all
             (fun b ->
               let batched =
-                observe ~domains ~batch:(Some b) `Par_partitioned pat r
+                observe ~domains ~batch:(Some b) `Partitioned pat r
               in
               reference.o_matches = batched.o_matches
               && reference.o_raw = batched.o_raw)
@@ -199,12 +199,12 @@ let test_negation_and_expiry_at_boundaries () =
   List.iter
     (fun domains ->
       let reference =
-        observe ~domains ~batch:None `Par_partitioned neg_pattern neg_relation
+        observe ~domains ~batch:None `Partitioned neg_pattern neg_relation
       in
       List.iter
         (fun b ->
           let batched =
-            observe ~domains ~batch:(Some b) `Par_partitioned neg_pattern
+            observe ~domains ~batch:(Some b) `Partitioned neg_pattern
               neg_relation
           in
           Alcotest.(check bool)

@@ -217,16 +217,16 @@ let test_precheck_equivalence () =
     b.Engine.metrics.Metrics.transitions_fired
 
 let test_store_equivalence () =
-  (* The flat reference pool and the indexed store are observationally
+  (* Algorithm 1's flat pool (the in-test reference of the store
+     equivalence suite) and the indexed store are observationally
      identical on the running example: raw, matches, and every counter. *)
   let flat =
-    run ~options:{ Engine.default_options with Engine.store = Engine.Flat }
-      query_q1 figure_1
+    Test_engine_equiv.flat_run ~precheck:true
+      ~policy:Substitution.Operational
+      (Automaton.of_pattern query_q1)
+      figure_1
   in
-  let idx =
-    run ~options:{ Engine.default_options with Engine.store = Engine.Indexed }
-      query_q1 figure_1
-  in
+  let idx = run query_q1 figure_1 in
   let sorted o =
     List.sort
       (List.compare Helpers.compare_name_seq)

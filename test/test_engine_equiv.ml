@@ -1,10 +1,11 @@
-(* Store-equivalence property tests: the state-indexed instance store
-   must be observationally identical to the flat reference pool — same
-   raw emissions, same finalized matches, same metrics — across the
-   option grid (constant pre-check on/off, both finalize policies). The
-   hash-based finalize pipeline is likewise checked against a direct
-   transcription of Definition 2's conditions 4-5 built from the
-   exported primitives. *)
+(* Store-equivalence property tests: the engine's state-indexed
+   instance store must be observationally identical to Algorithm 1's
+   flat pool Ω — same raw emissions, same finalized matches, same
+   metrics — across the option grid (constant pre-check on/off, both
+   finalize policies). The flat pool lives here, as [flat_run], built on
+   the exported ConsumeEvent kernel. The hash-based finalize pipeline is
+   likewise checked against a direct transcription of Definition 2's
+   conditions 4-5 built from the exported primitives. *)
 
 open Ses_core
 open Ses_gen
@@ -19,16 +20,71 @@ let canon_sorted substs =
   List.sort Substitution.compare_canonical
     (List.map Substitution.canonical substs)
 
-let run ~store ~precheck ~policy automaton r =
+let run ~precheck ~policy automaton r =
   let options =
-    {
-      Engine.default_options with
-      Engine.store;
-      precheck_constants = precheck;
-      policy;
-    }
+    { Engine.default_options with precheck_constants = precheck; policy }
   in
   Engine.run_relation ~options automaton r
+
+(* Algorithm 1 verbatim: Ω is one list, rescanned in full on every
+   event, each instance either expiring (emitting when accepting) or
+   consuming the event through the kernel's ConsumeEvent; successors and
+   untouched survivors form the next Ω. At end of input the accepting
+   instances flush. Counters are recorded exactly where the engine
+   records them. *)
+let flat_run ~precheck ~policy automaton r =
+  let p = Automaton.pattern automaton in
+  let k = Kernel.create ~precheck p in
+  (* The slots intern their buckets in a store that is never filled. *)
+  let store = Kernel.store () in
+  let slots = List.map (Kernel.slot automaton store) (Automaton.states automaton) in
+  let slot_of q =
+    List.find (fun (s : Kernel.slot) -> Varset.equal s.slot_state q) slots
+  in
+  let tau = Automaton.tau automaton in
+  let accepting (inst : Kernel.instance) =
+    Varset.equal inst.state (Automaton.accept automaton)
+  in
+  let fresh =
+    Kernel.fresh ~n_vars:(Ses_pattern.Pattern.n_vars p) ~owners:1
+      (Automaton.start automaton)
+  in
+  let raw = ref [] in
+  let emit inst =
+    Metrics.on_match k.m;
+    raw := Kernel.substitution inst :: !raw
+  in
+  let omega = ref [] in
+  Ses_event.Relation.iter
+    (fun e ->
+      Metrics.on_event k.m;
+      Kernel.tick k;
+      Metrics.on_instance_created k.m;
+      let next = ref [] in
+      List.iter
+        (fun (inst : Kernel.instance) ->
+          if Kernel.expired tau inst e then begin
+            Metrics.on_expired k.m;
+            if accepting inst then Kernel.flush k [ inst ] ~emit
+          end
+          else
+            match
+              Kernel.consume k (slot_of inst.state) inst e
+                ~on_succ:(fun _ succ -> next := succ :: !next)
+            with
+            | Kernel.Kept -> next := inst :: !next
+            | Kernel.Fired | Kernel.Killed | Kernel.Spent -> ())
+        (fresh :: !omega);
+      omega := List.rev !next;
+      Metrics.sample_population k.m (List.length !omega))
+    r;
+  Kernel.flush k (List.filter accepting !omega) ~emit;
+  let raw = List.rev !raw in
+  {
+    Engine.matches = Substitution.finalize ~policy p raw;
+    raw;
+    metrics = Metrics.snapshot k.m;
+  }
 
 (* The option grid shared by the parity properties below. *)
 let grid =
@@ -39,11 +95,11 @@ let grid =
     (false, Substitution.Literal);
   ]
 
-(* Raw emissions and finalized matches agree between the two stores for
-   every option combination. Raw output is compared as a multiset-free
-   sorted list of canonical forms: the indexed store visits states in
-   bucket order, so within-event emission order may differ, but the set
-   of emissions may not. *)
+(* Raw emissions and finalized matches agree between the indexed store
+   and the flat pool for every option combination. Raw output is
+   compared as a multiset-free sorted list of canonical forms: the
+   indexed store visits states in bucket order, so within-event emission
+   order may differ, but the set of emissions may not. *)
 let stores_agree_on_output =
   QCheck.Test.make ~count:120 ~name:"indexed store output = flat store output"
     QCheck.(int_bound 100_000)
@@ -52,10 +108,8 @@ let stores_agree_on_output =
           let automaton = Automaton.of_pattern pat in
           List.for_all
             (fun (precheck, policy) ->
-              let flat = run ~store:Engine.Flat ~precheck ~policy automaton r in
-              let idx =
-                run ~store:Engine.Indexed ~precheck ~policy automaton r
-              in
+              let flat = flat_run ~precheck ~policy automaton r in
+              let idx = run ~precheck ~policy automaton r in
               canon_sorted flat.Engine.raw = canon_sorted idx.Engine.raw
               && canon_sorted flat.Engine.matches
                  = canon_sorted idx.Engine.matches)
@@ -73,10 +127,8 @@ let stores_agree_on_metrics =
           let automaton = Automaton.of_pattern pat in
           List.for_all
             (fun (precheck, policy) ->
-              let flat = run ~store:Engine.Flat ~precheck ~policy automaton r in
-              let idx =
-                run ~store:Engine.Indexed ~precheck ~policy automaton r
-              in
+              let flat = flat_run ~precheck ~policy automaton r in
+              let idx = run ~precheck ~policy automaton r in
               flat.Engine.metrics = idx.Engine.metrics)
             grid))
 

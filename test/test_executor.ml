@@ -122,6 +122,16 @@ let test_strategy_names () =
             (Ses_core.Executor.strategy_name s)
       | Error msg -> Alcotest.fail msg)
     all_strategies;
+  (* The sharded spelling is an alias: sharding is [options.domains]. *)
+  List.iter
+    (fun alias ->
+      match Ses_core.Executor.strategy_of_string alias with
+      | Ok s ->
+          Alcotest.(check string)
+            (alias ^ " is partitioned") "partitioned"
+            (Ses_core.Executor.strategy_name s)
+      | Error msg -> Alcotest.fail msg)
+    [ "par-partitioned"; "par_partitioned"; "parallel" ];
   (match Ses_core.Executor.strategy_of_string "bogus" with
   | Ok _ -> Alcotest.fail "bogus strategy accepted"
   | Error _ -> ());

@@ -40,7 +40,7 @@ let run ~strategy ~domains telemetry automaton r =
    force runs one automaton per ordering — both explode on the random
    workloads, so the strategy grid covers them on the small Figure 1
    relation instead (see [strategies_on_figure_1]). *)
-let grid_strategies = [ `Auto; `Plain; `Partitioned; `Par_partitioned ]
+let grid_strategies = [ `Auto; `Plain; `Partitioned ]
 
 let domain_grid = [ 1; 2; 4 ]
 
@@ -145,17 +145,20 @@ let merged_peak_bounded_by_measured_peak =
                domain_grid))
 
 (* All five strategies on the Figure 1 relation (small enough for the
-   naive oracle and the brute-force baseline): sink on/off parity plus
-   the ingest accounting, end to end. *)
+   naive oracle and the brute-force baseline), partitioned both
+   sequential and sharded over two domains: sink on/off parity plus the
+   ingest accounting, end to end. *)
 let test_strategies_on_figure_1 () =
   let automaton = Automaton.of_pattern query_q1_singleton in
   let n = Relation.cardinality figure_1 in
   List.iter
-    (fun strategy ->
-      let plain = run ~strategy ~domains:1 None automaton figure_1 in
+    (fun (strategy, domains) ->
+      let plain = run ~strategy ~domains None automaton figure_1 in
       let tl = Telemetry.create () in
-      let recorded = run ~strategy ~domains:1 (Some tl) automaton figure_1 in
-      let name = Executor.strategy_name strategy in
+      let recorded = run ~strategy ~domains (Some tl) automaton figure_1 in
+      let name =
+        Printf.sprintf "%s/%d" (Executor.strategy_name strategy) domains
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: matches agree" name)
         true
@@ -171,7 +174,14 @@ let test_strategies_on_figure_1 () =
           Alcotest.(check int)
             (Printf.sprintf "%s: ingest count" name)
             (chunks n) ingest.Telemetry.span_count)
-    [ `Auto; `Plain; `Partitioned; `Par_partitioned; `Naive; `Brute_force ]
+    [
+      (`Auto, 1);
+      (`Plain, 1);
+      (`Partitioned, 1);
+      (`Partitioned, 2);
+      (`Naive, 1);
+      (`Brute_force, 1);
+    ]
 
 (* Sharded determinism carries over to the deterministic slice of the
    profile: counts (though not durations) are identical run to run. *)
