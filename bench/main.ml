@@ -29,7 +29,8 @@
 
    Part 5 measures domain-parallel execution: the partitioned per-key
    pools of the completely ID-joined Q1 sharded across 1/2/4 OCaml
-   domains (events/sec each), plus a 4-query set on 1 vs 4 domains,
+   domains (events/sec each), plus a 4-query set on 1 vs 4 domains and
+   Part 8's 1000-query set through the shared plan on 1 vs 2 domains,
    writing the results to BENCH_parallel.json.
 
    Part 6 measures the telemetry layer: Q1 over the chemotherapy
@@ -262,11 +263,83 @@ let store_bench () =
   output_char oc '\n';
   close_out oc
 
+(* The publish/subscribe workload shared by Parts 5 and 8: a synthetic
+   1000-query registration set drawn from two structural templates (a
+   2-set and a 3-set label sequence), instantiated over varying
+   label/threshold constants, over a random relation, with the options
+   both parts run it under. *)
+let pubsub_workload () =
+  let module RW = Ses_gen.Random_workload in
+  let n_queries = if quick then 100 else 1_000 in
+  let spec =
+    {
+      RW.n_events = (if quick then 2_000 else 20_000);
+      n_labels = 26;
+      n_ids = 8;
+      min_gap = 0;
+      max_gap = 2;
+      max_value = 9;
+    }
+  in
+  let d = RW.relation (Ses_gen.Prng.create 11L) spec in
+  let module P = Ses_pattern.Pattern in
+  let module V = Ses_pattern.Variable in
+  let lbl i = String.make 1 (Char.chr (Char.code 'a' + (i mod 26))) in
+  let label_cond v i =
+    P.Spec.const v "L" Ses_event.Predicate.Eq (Ses_event.Value.Str (lbl i))
+  in
+  let two_set i =
+    P.make_exn ~schema:RW.schema
+      ~sets:[ [ V.singleton "p" ]; [ V.singleton "s" ] ]
+      ~where:[ label_cond "p" i; label_cond "s" (i / 26) ]
+      ~within:6
+  in
+  let three_set i =
+    P.make_exn ~schema:RW.schema
+      ~sets:[ [ V.singleton "p" ]; [ V.singleton "s" ]; [ V.singleton "r" ] ]
+      ~where:
+        [
+          label_cond "p" i;
+          label_cond "s" (i / 26);
+          label_cond "r" (i / 2);
+          P.Spec.const "r" "V" Ses_event.Predicate.Ge
+            (Ses_event.Value.Int (1 + (i mod 5)));
+        ]
+      ~within:8
+  in
+  let queries =
+    List.init n_queries (fun i ->
+        let pattern =
+          if i mod 2 = 0 then two_set (i / 2) else three_set (i / 2)
+        in
+        (Printf.sprintf "q%04d" i, Ses_core.Automaton.of_pattern pattern))
+  in
+  let options =
+    {
+      Ses_core.Engine.default_options with
+      Ses_core.Engine.filter = Ses_core.Event_filter.Strong;
+      finalize = false;
+    }
+  in
+  (d, queries, options)
+
+(* Per-query raw emissions in canonical order: the matches-equal check
+   of the multi-query legs. *)
+let canonical_raw outcomes =
+  List.map
+    (fun (n, (o : Ses_core.Engine.outcome)) ->
+      ( n,
+        List.sort Ses_core.Substitution.compare_canonical
+          (List.map Ses_core.Substitution.canonical o.raw) ))
+    outcomes
+
 (* Domain-parallel benchmark: the partitionable (completely ID-joined,
    singleton-p) Q1 over a many-patient chemotherapy relation — one
    independent per-key pool per patient, the regime the sharded executor
    targets — evaluated with the per-key pools on 1, 2 and 4 worker
-   domains, plus a 4-query set on 1 vs 4 domains. Matching output is
+   domains, plus a 4-query set on 1 vs 4 domains and the 1000-query
+   [pubsub_workload] through the shared plan on 1 vs [min 2 cores]
+   domains (median of several runs each). Matching output is
    asserted identical across domain counts; wall-clock speedup is
    whatever the hardware allows (the JSON records the visible core
    count so a 1-core container's numbers read as what they are). *)
@@ -366,6 +439,36 @@ let parallel_bench () =
         (elapsed_of 1 /. elapsed_of 2)
         (elapsed_of 1 /. elapsed_of 4)
   in
+  (* The publish/subscribe leg: create through outcomes, one worker per
+     shard of the shared plan. *)
+  let pubsub_d, pubsub_queries, pubsub_options = pubsub_workload () in
+  let pubsub_events = Ses_event.Relation.cardinality pubsub_d in
+  let pubsub_domains = min 2 cores in
+  let pubsub_reps = if quick then 1 else 5 in
+  let pubsub_with domains =
+    let options = { pubsub_options with Ses_core.Engine.domains } in
+    let runs =
+      List.init pubsub_reps (fun _ ->
+          time (fun () ->
+              Ses_core.Multi.run ~options pubsub_queries
+                (Ses_event.Relation.to_seq pubsub_d)))
+    in
+    let times = List.sort Float.compare (List.map snd runs) in
+    (fst (List.hd runs), List.nth times (pubsub_reps / 2))
+  in
+  let p1, p1_s = pubsub_with 1 in
+  let pn, pn_s = pubsub_with pubsub_domains in
+  let pubsub_equal = canonical_raw p1 = canonical_raw pn in
+  if not pubsub_equal then
+    Printf.eprintf
+      "warning: pubsub mismatch: %d domains changed the per-query matches\n"
+      pubsub_domains;
+  let pubsub_tail =
+    if cores <= 1 then
+      ",\n    \"speedup_note\": \"single visible core: both legs run on \
+       one domain\""
+    else Printf.sprintf ", \"speedup\": %.2f" (p1_s /. pn_s)
+  in
   let multi_tail =
     if cores <= 1 then
       ",\n    \"speedup_note\": \"single visible core: multi-domain runs \
@@ -385,11 +488,20 @@ let parallel_bench () =
       \  \"multi\": {\n\
       \    \"queries\": 4, \"events\": %d,\n\
       \    \"one_domain_s\": %.6f, \"four_domains_s\": %.6f%s\n\
+      \  },\n\
+      \  \"multi_pubsub\": {\n\
+      \    \"queries\": %d, \"events\": %d, \"shared\": true, \
+       \"reps\": %d,\n\
+      \    \"domains\": %d, \"one_domain_median_s\": %.6f, \
+       \"n_domains_median_s\": %.6f,\n\
+      \    \"matches_equal\": %b%s\n\
       \  }\n\
        }"
       cores n_events
       (String.concat ",\n" (List.map leg runs))
       partitioned_tail n_events m1_s m4_s multi_tail
+      (List.length pubsub_queries) pubsub_events pubsub_reps pubsub_domains
+      p1_s pn_s pubsub_equal pubsub_tail
   in
   Printf.printf "Domain-parallel execution (JSON)\n";
   Printf.printf "--------------------------------\n";
@@ -649,11 +761,9 @@ let batch_bench () =
   output_char oc '\n';
   close_out oc
 
-(* Part 8: shared-plan multi-query execution. A synthetic 1000-query
-   registration set drawn from two structural templates (a 2-set and a
-   3-set label sequence), instantiated over varying label/threshold
-   constants — the publish/subscribe regime {!Ses_core.Multi}'s shared
-   plan targets. Independent execution routes every event through every
+(* Part 8: shared-plan multi-query execution over [pubsub_workload] —
+   the publish/subscribe regime {!Ses_core.Multi}'s shared plan
+   targets. Independent execution routes every event through every
    query's own filter; the shared plan evaluates the distinct constant
    atoms once per event in the predicate index and wakes only the
    queries the event can affect, with byte-identical registrations
@@ -661,60 +771,12 @@ let batch_bench () =
    same per-query matches; the wall-clock ratio is the headline. *)
 
 let multi_bench () =
-  let module RW = Ses_gen.Random_workload in
-  let n_queries = if quick then 100 else 1_000 in
-  let spec =
-    {
-      RW.n_events = (if quick then 2_000 else 20_000);
-      n_labels = 26;
-      n_ids = 8;
-      min_gap = 0;
-      max_gap = 2;
-      max_value = 9;
-    }
-  in
-  let d = RW.relation (Ses_gen.Prng.create 11L) spec in
+  let d, queries, options = pubsub_workload () in
   let n_events = Ses_event.Relation.cardinality d in
-  let module P = Ses_pattern.Pattern in
-  let module V = Ses_pattern.Variable in
-  let lbl i = String.make 1 (Char.chr (Char.code 'a' + (i mod 26))) in
-  let label_cond v i =
-    P.Spec.const v "L" Ses_event.Predicate.Eq (Ses_event.Value.Str (lbl i))
-  in
-  let two_set i =
-    P.make_exn ~schema:RW.schema
-      ~sets:[ [ V.singleton "p" ]; [ V.singleton "s" ] ]
-      ~where:[ label_cond "p" i; label_cond "s" (i / 26) ]
-      ~within:6
-  in
-  let three_set i =
-    P.make_exn ~schema:RW.schema
-      ~sets:[ [ V.singleton "p" ]; [ V.singleton "s" ]; [ V.singleton "r" ] ]
-      ~where:
-        [
-          label_cond "p" i;
-          label_cond "s" (i / 26);
-          label_cond "r" (i / 2);
-          P.Spec.const "r" "V" Ses_event.Predicate.Ge
-            (Ses_event.Value.Int (1 + (i mod 5)));
-        ]
-      ~within:8
-  in
-  let queries =
-    List.init n_queries (fun i ->
-        let pattern = if i mod 2 = 0 then two_set (i / 2) else three_set (i / 2) in
-        (Printf.sprintf "q%04d" i, Ses_core.Automaton.of_pattern pattern, `Plain))
-  in
-  let options =
-    {
-      Ses_core.Engine.default_options with
-      Ses_core.Engine.filter = Ses_core.Event_filter.Strong;
-      finalize = false;
-    }
-  in
+  let n_queries = List.length queries in
   let run shared =
     time (fun () ->
-        let t = Ses_core.Multi.create_mixed ~options ~shared queries in
+        let t = Ses_core.Multi.create ~options ~shared queries in
         Seq.iter
           (fun e -> ignore (Ses_core.Multi.feed t e))
           (Ses_event.Relation.to_seq d);
@@ -723,14 +785,7 @@ let multi_bench () =
   in
   let t_ind, ind_s = run false in
   let t_sh, sh_s = run true in
-  let raw_of t =
-    List.map
-      (fun (n, (o : Ses_core.Engine.outcome)) ->
-        ( n,
-          List.sort Ses_core.Substitution.compare_canonical
-            (List.map Ses_core.Substitution.canonical o.raw) ))
-      (Ses_core.Multi.outcomes t)
-  in
+  let raw_of t = canonical_raw (Ses_core.Multi.outcomes t) in
   let matches_equal = raw_of t_ind = raw_of t_sh in
   if not matches_equal then
     Printf.eprintf "warning: shared multi changed the per-query matches\n";

@@ -297,15 +297,9 @@ let run_multi_match ~options ~strategy ~queries ~data show_metrics show_raw
     Ses_core.Multi.create_mixed ~options
       (List.map (fun (n, _, a) -> (n, a, strategy)) named)
   in
-  let events = Array.of_seq (Ses_event.Relation.to_seq relation) in
-  let n = Array.length events in
-  let b = max 1 options.Ses_core.Engine.batch_size in
-  let i = ref 0 in
-  while !i < n do
-    let len = min b (n - !i) in
-    ignore (Ses_core.Multi.feed_batch t (Array.sub events !i len));
-    i := !i + len
-  done;
+  Ses_core.Executor.iter_chunks options.Ses_core.Engine.batch_size
+    (Ses_event.Relation.to_seq relation) (fun chunk ->
+      ignore (Ses_core.Multi.feed_batch t chunk));
   ignore (Ses_core.Multi.close t);
   let outcomes = Ses_core.Multi.outcomes t in
   List.iter

@@ -97,27 +97,34 @@ let create_pattern ?(options = Engine.default_options) p =
 
 let create ?options automaton = create_pattern ?options (Automaton.pattern automaton)
 
-let fresh st substs =
+(* Substitutions not in [seen] (nor earlier in [substs]); each one kept
+   is added to [seen]. *)
+let unseen seen substs =
   List.filter
     (fun s ->
       let key = Substitution.canonical s in
-      if Hashtbl.mem st.seen key then false
+      if Hashtbl.mem seen key then false
       else begin
-        Hashtbl.add st.seen key ();
-        st.emissions <- s :: st.emissions;
+        Hashtbl.add seen key ();
         true
       end)
     substs
 
+let fresh st substs =
+  let out = unseen st.seen substs in
+  st.emissions <- List.rev_append out st.emissions;
+  out
+
+(* [f] applied to every chain, its output retargeted to the original
+   pattern's variable ids. *)
+let retargeted st f =
+  List.concat_map
+    (fun (dp, engine) ->
+      List.map (retarget ~original:st.pattern ~derived:dp) (f engine))
+    st.streams
+
 let feed st e =
-  let completed =
-    List.concat_map
-      (fun (dp, engine) ->
-        List.map
-          (retarget ~original:st.pattern ~derived:dp)
-          (Engine.feed engine e))
-      st.streams
-  in
+  let completed = retargeted st (fun engine -> Engine.feed engine e) in
   let total =
     List.fold_left (fun acc (_, s) -> acc + Engine.population s) 0 st.streams
   in
@@ -129,28 +136,17 @@ let feed st e =
    (a lower bound on the per-event peak, like the other batched
    executors). *)
 let feed_batch st es =
-  let completed =
-    List.concat_map
-      (fun (dp, engine) ->
-        List.map
-          (retarget ~original:st.pattern ~derived:dp)
-          (Engine.feed_batch engine es))
-      st.streams
-  in
+  let completed = retargeted st (fun engine -> Engine.feed_batch engine es) in
   let total =
     List.fold_left (fun acc (_, s) -> acc + Engine.population s) 0 st.streams
   in
   if total > st.max_total then st.max_total <- total;
   fresh st completed
 
-let close st =
-  fresh st
-    (List.concat_map
-       (fun (dp, engine) ->
-         List.map
-           (retarget ~original:st.pattern ~derived:dp)
-           (Engine.close engine))
-       st.streams)
+let close st = fresh st (retargeted st Engine.close)
+
+let accepting st =
+  unseen (Hashtbl.copy st.seen) (retargeted st Engine.accepting)
 
 let emitted st = List.rev st.emissions
 
@@ -196,6 +192,8 @@ module Exec = struct
   let feed_batch = feed_batch
 
   let close = close
+
+  let accepting = accepting
 
   let emitted = emitted
 

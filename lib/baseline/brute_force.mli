@@ -84,6 +84,9 @@ val feed_batch : stream -> Event.t array -> Substitution.t list
 
 val close : stream -> Substitution.t list
 
+val accepting : stream -> Substitution.t list
+(** What {!close} would return now, with nothing closed or recorded. *)
+
 val emitted : stream -> Substitution.t list
 
 val population : stream -> int

@@ -32,7 +32,6 @@ type 'a worker = {
   idle : Condition.t;  (* signalled when [pending] drops to 0 *)
   mutable pending : int;  (* queued + currently being processed *)
   mutable closed : bool;
-  mutable ready : bool;  (* worker-side init completed (or failed) *)
   mutable failure : exn option;  (* first exception raised by [f] *)
   mutable handle : unit Domain.t option;
 }
@@ -58,7 +57,6 @@ let make_worker () =
     idle = Condition.create ();
     pending = 0;
     closed = false;
-    ready = false;
     failure = None;
     handle = None;
   }
@@ -93,16 +91,7 @@ let worker_loop w f =
   in
   loop ()
 
-(* Shared body of [create] and [create_with]: [init i] runs *on* worker
-   [i]'s domain before it processes anything, and the constructor waits
-   for every worker's ready flag (set under its mutex) before returning
-   — so the init's writes happen-before anything the caller does with
-   the pool, and a caller-side read of state the init published (e.g.
-   a slot the worker filled) is race-free immediately. An init that
-   raises marks the worker failed and ready; the exception then
-   re-raises on the caller's side like a processing failure, and the
-   worker keeps draining its queue so the producer never deadlocks. *)
-let create_gen ~capacity ~telemetry ~domains ~init f =
+let create ?(capacity = default_capacity) ?telemetry ~domains f =
   if domains < 1 then invalid_arg "Domain_pool.create: domains < 1";
   if capacity < 1 then invalid_arg "Domain_pool.create: capacity < 1";
   let workers = Array.init domains (fun _ -> make_worker ()) in
@@ -111,54 +100,21 @@ let create_gen ~capacity ~telemetry ~domains ~init f =
       (* Each worker writes its span through its own forked recorder
          (spans are single-writer); the handle is resolved before
          [Domain.spawn], whose happens-before covers the publication. *)
-      let sp =
-        Option.map
-          (fun tl ->
-            Telemetry.span (Telemetry.fork tl) (Printf.sprintf "worker.%d" i))
-          telemetry
+      let run =
+        match telemetry with
+        | None -> f i
+        | Some tl ->
+            let sp =
+              Telemetry.span (Telemetry.fork tl) (Printf.sprintf "worker.%d" i)
+            in
+            fun x -> Telemetry.Span.record sp (fun () -> f i x)
       in
-      w.handle <-
-        Some
-          (Domain.spawn (fun () ->
-               let run =
-                 match (try Ok (init i) with e -> Error e) with
-                 | Error e ->
-                     Mutex.lock w.mutex;
-                     w.failure <- Some e;
-                     Mutex.unlock w.mutex;
-                     fun _ -> ()
-                 | Ok state -> (
-                     let body x = f i state x in
-                     match sp with
-                     | None -> body
-                     | Some sp ->
-                         fun x -> Telemetry.Span.record sp (fun () -> body x))
-               in
-               Mutex.lock w.mutex;
-               w.ready <- true;
-               Condition.broadcast w.idle;
-               Mutex.unlock w.mutex;
-               worker_loop w run)))
-    workers;
-  Array.iter
-    (fun w ->
-      Mutex.lock w.mutex;
-      while not w.ready do
-        Condition.wait w.idle w.mutex
-      done;
-      Mutex.unlock w.mutex)
+      w.handle <- Some (Domain.spawn (fun () -> worker_loop w run)))
     workers;
   let depth =
     Option.map (fun tl -> Telemetry.gauge tl "pool.queue_depth") telemetry
   in
   { workers; capacity; depth; stopped = false; flushers = [] }
-
-let create ?(capacity = default_capacity) ?telemetry ~domains f =
-  create_gen ~capacity ~telemetry ~domains ~init:(fun _ -> ()) (fun i () x ->
-      f i x)
-
-let create_with ?(capacity = default_capacity) ?telemetry ~domains ~init f =
-  create_gen ~capacity ~telemetry ~domains ~init (fun _ state x -> f state x)
 
 let size pool = Array.length pool.workers
 

@@ -6,10 +6,12 @@
     This is the execution substrate of the domain-parallel executors:
     {!Partitioned} routes each partition key to a fixed worker (so a
     key's events are still consumed one at a time, in order, preserving
-    the engine's semantics), and {!Multi} assigns whole queries to
-    workers and broadcasts the feed.
+    the engine's semantics), and {!Multi} gives each worker one shard of
+    its queries and broadcasts the feed.
 
-    Workers keep their state in the closures passed to [create]. After
+    Workers keep their state in the closures passed to [create]. State
+    the caller builds before [create] is visible to the workers
+    ([Domain.spawn] orders it before their first message). After
     {!quiesce} or {!shutdown} returns, that state may be read (and after
     [shutdown], mutated) from the calling thread without races: both
     calls establish the necessary happens-before edges.
@@ -39,24 +41,6 @@ val create :
     single-writer discipline holds), and {!send} samples the receiving
     queue's depth into a [pool.queue_depth] gauge. A custom
     {!Telemetry.create} clock must be safe to call from any domain. *)
-
-val create_with :
-  ?capacity:int ->
-  ?telemetry:Telemetry.t ->
-  domains:int ->
-  init:(int -> 'state) ->
-  ('state -> 'a -> unit) ->
-  'a t
-(** Like {!create}, but worker [i] first builds its own state by running
-    [init i] {e on its domain}, then processes each message with
-    [f state]. The call returns only after every worker has finished its
-    init (a ready handshake under the worker's mutex), so state the init
-    publishes into caller-visible slots may be read immediately without
-    races. An init that raises marks its worker failed: the exception
-    re-raises at the next {!send}/{!quiesce}/{!shutdown} and the worker
-    drains its queue without processing. This is how {!Multi} builds one
-    shared plan per worker domain — the plan's interior mutability stays
-    domain-local for the pool's whole lifetime. *)
 
 val size : 'a t -> int
 (** Number of worker domains. *)

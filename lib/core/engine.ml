@@ -450,6 +450,17 @@ let close st =
   Instance_store.clear st.store;
   List.rev !flushed
 
+let accepting st =
+  (* [close]'s flush, read in place: nothing is emitted or removed. *)
+  let flushed = ref [] in
+  Array.iter
+    (fun (slot : Kernel.slot) ->
+      if slot.accepting then
+        Kernel.flush st.k (Instance_store.items_h slot.bucket)
+          ~emit:(fun inst -> flushed := Kernel.substitution inst :: !flushed))
+    st.slots;
+  List.rev !flushed
+
 let population_by_state st =
   let counts =
     Instance_store.fold_buckets

@@ -148,6 +148,10 @@ val feed_batch : stream -> Event.t array -> Substitution.t list
 
 val close : stream -> Substitution.t list
 
+val accepting : stream -> Substitution.t list
+(** The raw substitutions {!close} would flush now, in its order, with
+    nothing closed, emitted or counted. *)
+
 val population : stream -> int
 (** Current |Ω|; O(1) with the indexed store. *)
 

@@ -51,6 +51,8 @@ module type EXECUTOR = sig
 
   val close : t -> Substitution.t list
 
+  val accepting : t -> Substitution.t list
+
   val emitted : t -> Substitution.t list
 
   val population : t -> int
@@ -78,6 +80,8 @@ module Plain : EXECUTOR = struct
 
   let close = Engine.close
 
+  let accepting = Engine.accepting
+
   let emitted = Engine.emitted
 
   let population = Engine.population
@@ -97,6 +101,8 @@ module Partitioned_exec : EXECUTOR = struct
   let feed_batch = Partitioned.feed_batch
 
   let close = Partitioned.close
+
+  let accepting = Partitioned.accepting
 
   let emitted = Partitioned.emitted
 
@@ -118,6 +124,8 @@ module Auto : EXECUTOR = struct
 
   let close = Planner.close
 
+  let accepting = Planner.accepting
+
   let emitted = Planner.emitted
 
   let population = Planner.population
@@ -137,6 +145,8 @@ module Naive_exec : EXECUTOR = struct
   let feed_batch = Naive.feed_batch
 
   let close = Naive.close
+
+  let accepting = Naive.accepting
 
   let emitted = Naive.emitted
 
@@ -201,6 +211,8 @@ module Instrument (E : EXECUTOR) : EXECUTOR = struct
 
   let close t = E.close t.inner
 
+  let accepting t = E.accepting t.inner
+
   let emitted t = E.emitted t.inner
 
   let population t = E.population t.inner
@@ -248,6 +260,8 @@ let feed (Packed ((module E), t)) e = E.feed t e
 let feed_batch (Packed ((module E), t)) es = E.feed_batch t es
 
 let close (Packed ((module E), t)) = E.close t
+
+let accepting (Packed ((module E), t)) = E.accepting t
 
 let emitted (Packed ((module E), t)) = E.emitted t
 

@@ -76,6 +76,11 @@ module type EXECUTOR = sig
   val close : t -> Substitution.t list
   (** End of input: flushes accepting instances. *)
 
+  val accepting : t -> Substitution.t list
+  (** The raw substitutions [close] would flush now, in its order, with
+      nothing closed, emitted or counted: how a caller ends one reader's
+      run while the executor keeps serving others. *)
+
   val emitted : t -> Substitution.t list
   (** All raw emissions so far, oldest first. *)
 
@@ -126,6 +131,8 @@ val feed : packed -> Event.t -> Substitution.t list
 val feed_batch : packed -> Event.t array -> Substitution.t list
 
 val close : packed -> Substitution.t list
+
+val accepting : packed -> Substitution.t list
 
 val emitted : packed -> Substitution.t list
 

@@ -96,6 +96,8 @@ let take_all st q =
 
 let take_all_h h = take_all_bucket h.owner h.hb
 
+let items_h h = h.hb.items
+
 let put_back_bucket st b items =
   match items with
   | [] -> ()

@@ -61,6 +61,9 @@ val pop_expired_h : 'a handle -> expired:('a -> bool) -> 'a list
 
 val take_all_h : 'a handle -> 'a list
 
+val items_h : 'a handle -> 'a list
+(** The bucket's committed instances in bucket order, left in place. *)
+
 val put_back_h : 'a handle -> 'a list -> unit
 
 val stage_h : 'a handle -> 'a -> unit

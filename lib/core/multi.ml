@@ -1,8 +1,12 @@
 open Ses_event
 
-(* ------------------------------------------------------------------ *)
-(* Independent backend: one executor per registration.                *)
-(* ------------------------------------------------------------------ *)
+(* A shard is the one sequential backend: an optional shared plan beside
+   independent executors ("entries"). With [shared = false] there is no
+   plan and every query is an entry. With [shared = true] the plan serves
+   the queries registered before the first event; queries registered
+   later cannot join the already-fed shared population and run as
+   entries beside it. The plan's names therefore precede its entries' in
+   registration order. *)
 
 type entry = {
   name : string;
@@ -10,59 +14,29 @@ type entry = {
   exec : Executor.packed;
 }
 
-(* In independent-parallel mode every query is pinned to one worker
-   domain (round-robin by registration order) and the feed is broadcast:
-   each worker runs its queries' executors sequentially over the whole
-   stream, exactly as the sequential mode does — only on its own domain.
-   Executors are created with [domains = 1] so a partitioned query never
-   nests a second domain pool under a Multi worker. *)
-(* As in {!Partitioned}'s sharded mode, events are shipped in batches
-   through a {!Domain_pool.batcher}: the broadcast buffers up to
-   [options.batch_size] events and hands every worker the same array,
-   amortising the queue handshake. The workers still feed their
-   executors event by event — each query's executor must observe the
-   exact per-event sequence so parallel metrics equal sequential ones. *)
+type shard = {
+  mutable plan : Shared_plan.t option;
+  mutable entries : entry list;  (* registration order *)
+}
 
-type parallel = {
-  pool : Event.t array Domain_pool.t;
-  groups : entry list array;  (* registration order within a group *)
+(* Domain-parallel mode: one shard per worker domain, built from
+   {!Shared_plan.partition} (every sharing unit kept whole), and the feed
+   broadcast to every worker. As in {!Partitioned}'s sharded mode, events
+   are shipped in batches through one {!Domain_pool.batcher}, amortising
+   the queue handshake; the workers still feed their shards event by
+   event, so each query observes the exact per-event sequence and
+   parallel metrics equal sequential ones. *)
+type pool = {
+  workers : Event.t array Domain_pool.t;
   batcher : Event.t Domain_pool.batcher;  (* broadcast buffer *)
-  mutable flushed : bool;
+  mutable closed : bool;
 }
-
-(* Shared-parallel mode: registrations are split into unit-whole shards
-   (see {!Shared_plan.partition}) and each worker domain builds its own
-   shared plan over its shard — built {e on} the worker through
-   {!Domain_pool.create_with}, so the plan's interior mutability stays
-   domain-local. The feed is broadcast; per-query results are read after
-   quiesce/shutdown, which establish the happens-before edges. *)
-type shared_parallel = {
-  sh_pool : Event.t array Domain_pool.t;
-  sh_plans : Shared_plan.t array;  (* shard order; read after quiesce *)
-  sh_batcher : Event.t Domain_pool.batcher;
-  mutable sh_flushed : bool;
-}
-
-(* Sequential shared mode keeps the plan plus any "extras": queries
-   registered after the first event, which cannot join the already-fed
-   shared population and therefore run as independent executors beside
-   it. Registrations before the first event rebuild the (empty) plan so
-   they share fully. *)
-type shared_state = {
-  mutable plan : Shared_plan.t;
-  mutable extras : entry list;  (* registration order *)
-}
-
-type backend =
-  | Independent of entry list
-  | Independent_par of entry list * parallel
-  | Shared of shared_state
-  | Shared_par of shared_parallel
 
 type t = {
   mutable regs : (string * Automaton.t * Executor.strategy) list;
   options : Engine.options;
-  mutable backend : backend;
+  shards : shard array;  (* exactly one without a pool *)
+  pool : pool option;
 }
 
 let validate names =
@@ -71,108 +45,78 @@ let validate names =
   if List.length (List.sort_uniq String.compare names) <> List.length names
   then invalid_arg "Multi.create: duplicate query name"
 
-let make_independent options domains queries =
-  let exec_options =
-    if domains > 1 then { options with Engine.domains = 1 } else options
-  in
-  let entries =
-    List.map
-      (fun (name, automaton, strategy) ->
-        (* In parallel mode each query's executor records through its own
-           forked child: queries pinned to different workers must not
-           share plain-mutable span/histogram state. *)
-        let entry_options =
-          if domains <= 1 then exec_options
-          else
-            match exec_options.Engine.telemetry with
-            | None -> exec_options
-            | Some tl ->
-                {
-                  exec_options with
-                  Engine.telemetry = Some (Telemetry.fork tl);
-                }
-        in
-        {
-          name;
-          automaton;
-          exec = Executor.create ~options:entry_options strategy automaton;
-        })
-      queries
-  in
-  if domains <= 1 then Independent entries
-  else begin
-    let groups = Array.make domains [] in
-    List.iteri
-      (fun i e -> groups.(i mod domains) <- e :: groups.(i mod domains))
-      entries;
-    Array.iteri (fun i g -> groups.(i) <- List.rev g) groups;
-    let pool =
-      Domain_pool.create ?telemetry:options.Engine.telemetry ~domains
-        (fun i events ->
-          Array.iter
-            (fun event ->
-              List.iter
-                (fun e -> ignore (Executor.feed e.exec event))
-                groups.(i))
-            events)
-    in
-    let batch_hist =
-      Option.map
-        (fun tl -> Telemetry.histogram tl "pool.batch_events")
-        options.Engine.telemetry
-    in
-    let batcher =
-      Domain_pool.batcher ?hist:batch_hist
-        ~limit:(max 1 options.Engine.batch_size) pool
-    in
-    Independent_par (entries, { pool; groups; batcher; flushed = false })
-  end
-
 let plan_regs queries =
   List.map
     (fun (name, automaton, strategy) ->
-      { Shared_plan.r_name = name; r_automaton = automaton; r_strategy = strategy })
+      {
+        Shared_plan.r_name = name;
+        r_automaton = automaton;
+        r_strategy = strategy;
+      })
     queries
 
-let make_shared options domains queries =
+let make_entry options (r : Shared_plan.reg) =
+  {
+    name = r.r_name;
+    automaton = r.r_automaton;
+    exec = Executor.create ~options r.r_strategy r.r_automaton;
+  }
+
+let make_shard options ~shared regs =
+  if shared then
+    { plan = Some (Shared_plan.create ~options regs); entries = [] }
+  else { plan = None; entries = List.map (make_entry options) regs }
+
+(* Per-name results of one shard: the plan's, then the entries', each in
+   registration order. *)
+let shard_results sh ~plan ~entries =
+  let from_plan = match sh.plan with None -> [] | Some p -> plan p in
+  match sh.entries with [] -> from_plan | es -> from_plan @ entries es
+
+let completed f entries =
+  List.filter_map
+    (fun e -> match f e.exec with [] -> None | out -> Some (e.name, out))
+    entries
+
+let feed_shard sh event =
+  shard_results sh
+    ~plan:(fun p -> Shared_plan.feed p event)
+    ~entries:(completed (fun x -> Executor.feed x event))
+
+let create_mixed ?(options = Engine.default_options) ?(shared = true) queries =
+  validate (List.map (fun (name, _, _) -> name) queries);
+  let regs = plan_regs queries in
+  let domains = min options.Engine.domains (List.length queries) in
   if domains <= 1 then
-    Shared
-      { plan = Shared_plan.create ~options (plan_regs queries); extras = [] }
+    {
+      regs = queries;
+      options;
+      shards = [| make_shard options ~shared regs |];
+      pool = None;
+    }
   else begin
+    (* The shards are built here, on the calling thread, before the
+       workers spawn. Each records through its own telemetry fork
+       (written only by its worker) and never nests a second domain
+       pool. *)
     let shards =
-      Shared_plan.partition ~options ~shards:domains (plan_regs queries)
-    in
-    (* Each worker's plan records through its own telemetry fork and
-       never nests a second domain pool. The forks are created here, on
-       the calling thread, but written only by their worker. *)
-    let shard_options =
       Array.map
-        (fun _ ->
-          {
-            options with
-            Engine.domains = 1;
-            telemetry = Option.map Telemetry.fork options.Engine.telemetry;
-          })
-        shards
-    in
-    let slots = Array.make domains None in
-    let pool =
-      Domain_pool.create_with ?telemetry:options.Engine.telemetry ~domains
-        ~init:(fun i ->
-          let plan =
-            Shared_plan.create ~options:shard_options.(i) shards.(i)
+        (fun regs ->
+          let options =
+            {
+              options with
+              Engine.domains = 1;
+              telemetry = Option.map Telemetry.fork options.Engine.telemetry;
+            }
           in
-          slots.(i) <- Some plan;
-          plan)
-        (* Per-event feeding (the chunking only amortizes the queue
-           handshake): each query must observe the exact per-event
-           sequence so parallel metrics equal sequential ones. *)
-        (fun plan events ->
-          Array.iter (fun e -> ignore (Shared_plan.feed plan e)) events)
+          make_shard options ~shared regs)
+        (Shared_plan.partition ~options ~shards:domains regs)
     in
-    (* The ready handshake in [create_with] makes the inits' writes
-       visible here. *)
-    let plans = Array.map Option.get slots in
+    let workers =
+      Domain_pool.create ?telemetry:options.Engine.telemetry ~domains
+        (fun i events ->
+          Array.iter (fun e -> ignore (feed_shard shards.(i) e)) events)
+    in
     let batch_hist =
       Option.map
         (fun tl -> Telemetry.histogram tl "pool.batch_events")
@@ -180,20 +124,15 @@ let make_shared options domains queries =
     in
     let batcher =
       Domain_pool.batcher ?hist:batch_hist
-        ~limit:(max 1 options.Engine.batch_size) pool
+        ~limit:(max 1 options.Engine.batch_size) workers
     in
-    Shared_par
-      { sh_pool = pool; sh_plans = plans; sh_batcher = batcher; sh_flushed = false }
+    {
+      regs = queries;
+      options;
+      shards;
+      pool = Some { workers; batcher; closed = false };
+    }
   end
-
-let create_mixed ?(options = Engine.default_options) ?(shared = true) queries =
-  validate (List.map (fun (name, _, _) -> name) queries);
-  let domains = min options.Engine.domains (List.length queries) in
-  let backend =
-    if shared then make_shared options domains queries
-    else make_independent options domains queries
-  in
-  { regs = queries; options; backend }
 
 let create ?options ?(strategy = `Plain) ?shared queries =
   create_mixed ?options ?shared
@@ -202,170 +141,80 @@ let create ?options ?(strategy = `Plain) ?shared queries =
 let names t = List.map (fun (n, _, _) -> n) t.regs
 
 let strategy_names t =
-  match t.backend with
-  | Independent entries | Independent_par (entries, _) ->
-      List.map (fun e -> (e.name, Executor.name e.exec)) entries
-  | Shared _ | Shared_par _ ->
-      List.map (fun (n, _, s) -> (n, Executor.strategy_name s)) t.regs
+  List.map (fun (n, _, s) -> (n, Executor.strategy_name s)) t.regs
 
 let n_domains t =
-  match t.backend with
-  | Independent _ | Shared _ -> 1
-  | Independent_par (_, p) -> Domain_pool.size p.pool
-  | Shared_par p -> Domain_pool.size p.sh_pool
+  match t.pool with None -> 1 | Some p -> Domain_pool.size p.workers
 
-(* Per-name results in global registration order (each shard preserves
-   its own registration order, but shards interleave). *)
-let reorder t pairs =
-  let idx = Hashtbl.create 16 in
-  List.iteri (fun i (n, _, _) -> Hashtbl.replace idx n i) t.regs;
-  List.sort
-    (fun (a, _) (b, _) ->
-      Int.compare (Hashtbl.find idx a) (Hashtbl.find idx b))
-    pairs
+(* Per-name results over every shard, in global registration order: a
+   lone shard already lists them so, several shards interleave. *)
+let gather t f =
+  match t.shards with
+  | [| sh |] -> f sh
+  | shards ->
+      let idx = Hashtbl.create 16 in
+      List.iteri (fun i (n, _, _) -> Hashtbl.replace idx n i) t.regs;
+      List.sort
+        (fun (a, _) (b, _) ->
+          Int.compare (Hashtbl.find idx a) (Hashtbl.find idx b))
+        (List.concat_map f (Array.to_list shards))
 
-let feed_entries entries event =
-  List.filter_map
-    (fun e ->
-      match Executor.feed e.exec event with
-      | [] -> None
-      | completed -> Some (e.name, completed))
-    entries
+(* Pooled reads first wait for the workers: the quiesce handshake makes
+   their writes to the shards visible here. *)
+let quiesce t = Option.iter (fun p -> Domain_pool.quiesce p.workers) t.pool
 
+let check_open p op =
+  if p.closed then invalid_arg ("Multi." ^ op ^ ": query set is closed")
+
+(* Pooled feeds broadcast: every worker receives every event and drives
+   its own shard. Per-event completions surface at [close]/[outcomes]. *)
 let feed t event =
-  match t.backend with
-  | Independent entries -> feed_entries entries event
-  | Shared s ->
-      let from_plan = Shared_plan.feed s.plan event in
-      if s.extras = [] then from_plan
-      else reorder t (from_plan @ feed_entries s.extras event)
-  | Independent_par (_, p) ->
-      if p.flushed then invalid_arg "Multi.feed: query set is closed";
-      (* Broadcast: every worker receives every event and drives its own
-         queries. Per-event completions surface at [close]/[outcomes]. *)
+  match t.pool with
+  | None -> feed_shard t.shards.(0) event
+  | Some p ->
+      check_open p "feed";
       Domain_pool.broadcast p.batcher event;
       []
-  | Shared_par p ->
-      if p.sh_flushed then invalid_arg "Multi.feed: query set is closed";
-      Domain_pool.broadcast p.sh_batcher event;
-      []
-
-let feed_batch_entries entries events =
-  List.filter_map
-    (fun e ->
-      match Executor.feed_batch e.exec events with
-      | [] -> None
-      | completed -> Some (e.name, completed))
-    entries
 
 let feed_batch t events =
-  match t.backend with
-  | Independent entries -> feed_batch_entries entries events
-  | Shared s ->
-      let from_plan = Shared_plan.feed_batch s.plan events in
-      if s.extras = [] then from_plan
-      else reorder t (from_plan @ feed_batch_entries s.extras events)
-  | Independent_par (_, p) ->
-      if p.flushed then invalid_arg "Multi.feed_batch: query set is closed";
-      Array.iter (fun event -> Domain_pool.broadcast p.batcher event) events;
+  match t.pool with
+  | None ->
+      shard_results t.shards.(0)
+        ~plan:(fun p -> Shared_plan.feed_batch p events)
+        ~entries:(completed (fun x -> Executor.feed_batch x events))
+  | Some p ->
+      check_open p "feed_batch";
+      Array.iter (Domain_pool.broadcast p.batcher) events;
       []
-  | Shared_par p ->
-      if p.sh_flushed then invalid_arg "Multi.feed_batch: query set is closed";
-      Array.iter (fun event -> Domain_pool.broadcast p.sh_batcher event) events;
-      []
-
-let close_entries entries =
-  List.filter_map
-    (fun e ->
-      match Executor.close e.exec with
-      | [] -> None
-      | flushed -> Some (e.name, flushed))
-    entries
 
 let close t =
-  match t.backend with
-  | Independent entries -> close_entries entries
-  | Shared s ->
-      let from_plan = Shared_plan.close s.plan in
-      if s.extras = [] then from_plan
-      else reorder t (from_plan @ close_entries s.extras)
-  | Independent_par (entries, p) ->
+  let close_all () =
+    gather t (fun sh ->
+        shard_results sh ~plan:Shared_plan.close
+          ~entries:(completed Executor.close))
+  in
+  match t.pool with
+  | None -> close_all ()
+  | Some p ->
       (* Join the workers first (shutdown flushes the broadcast batcher
-         before closing the queues): afterwards the executors are owned
-         by the calling thread again and flush sequentially, in
-         registration order, as the sequential mode does. *)
-      Domain_pool.shutdown p.pool;
-      if p.flushed then []
+         before closing the queues): afterwards the shards belong to the
+         calling thread again. *)
+      Domain_pool.shutdown p.workers;
+      if p.closed then []
       else begin
-        p.flushed <- true;
-        List.filter_map
-          (fun e ->
-            match Executor.close e.exec with
-            | [] -> None
-            | flushed -> Some (e.name, flushed))
-          entries
+        p.closed <- true;
+        close_all ()
       end
-  | Shared_par p ->
-      Domain_pool.shutdown p.sh_pool;
-      if p.sh_flushed then []
-      else begin
-        p.sh_flushed <- true;
-        reorder t
-          (List.concat_map Shared_plan.close (Array.to_list p.sh_plans))
-      end
-
-let quiesce t =
-  match t.backend with
-  | Independent _ | Shared _ -> ()
-  | Independent_par (_, p) -> Domain_pool.quiesce p.pool
-  | Shared_par p -> Domain_pool.quiesce p.sh_pool
 
 let population t =
   quiesce t;
-  match t.backend with
-  | Independent entries | Independent_par (entries, _) ->
-      List.fold_left (fun acc e -> acc + Executor.population e.exec) 0 entries
-  | Shared s ->
-      Shared_plan.population s.plan
-      + List.fold_left
-          (fun acc e -> acc + Executor.population e.exec)
-          0 s.extras
-  | Shared_par p ->
-      Array.fold_left
-        (fun acc sp -> acc + Shared_plan.population sp)
-        0 p.sh_plans
-
-(* Shared-mode outcomes: finalization needs the whole raw candidate set
-   per query, and aliased registrations share identical raw, so the
-   finalize pass is memoized per alias id within each plan. *)
-let shared_outcomes t plans =
-  let memo = Hashtbl.create 16 in
-  let per_query =
-    List.concat
-      (List.mapi
-         (fun pi sp ->
-           List.map
-             (fun (r : Shared_plan.query_result) ->
-               let matches =
-                 if t.options.Engine.finalize then (
-                   match Hashtbl.find_opt memo (pi, r.q_alias) with
-                   | Some m -> m
-                   | None ->
-                       let m =
-                         Substitution.finalize ~policy:t.options.Engine.policy
-                           (Automaton.pattern r.q_automaton)
-                           r.q_raw
-                       in
-                       Hashtbl.add memo (pi, r.q_alias) m;
-                       m)
-                 else r.q_raw
-               in
-               ( r.q_name,
-                 { Engine.matches; raw = r.q_raw; metrics = r.q_metrics } ))
-             (Shared_plan.results sp))
-         plans)
-  in
-  reorder t per_query
+  Array.fold_left
+    (fun acc sh ->
+      List.fold_left
+        (fun acc e -> acc + Executor.population e.exec)
+        (acc + Option.fold ~none:0 ~some:Shared_plan.population sh.plan)
+        sh.entries)
+    0 t.shards
 
 let finalized t automaton raw metrics =
   let matches =
@@ -381,17 +230,31 @@ let entry_outcome t e =
     finalized t e.automaton (Executor.emitted e.exec) (Executor.metrics e.exec)
   )
 
+(* Finalization needs the whole raw candidate set per query, and aliased
+   registrations share identical raw, so a plan's finalize pass is
+   memoized per alias id. *)
+let plan_outcomes t plan =
+  let memo = Hashtbl.create 16 in
+  List.map
+    (fun (r : Shared_plan.query_result) ->
+      let matches =
+        if not t.options.Engine.finalize then r.q_raw
+        else
+          match Hashtbl.find_opt memo r.q_alias with
+          | Some m -> m
+          | None ->
+              let m = (finalized t r.q_automaton r.q_raw r.q_metrics).matches in
+              Hashtbl.add memo r.q_alias m;
+              m
+      in
+      (r.q_name, { Engine.matches; raw = r.q_raw; metrics = r.q_metrics }))
+    (Shared_plan.results plan)
+
 let outcomes t =
   quiesce t;
-  match t.backend with
-  | Independent entries | Independent_par (entries, _) ->
-      List.map (entry_outcome t) entries
-  | Shared s ->
-      if s.extras = [] then shared_outcomes t [ s.plan ]
-      else
-        reorder t
-          (shared_outcomes t [ s.plan ] @ List.map (entry_outcome t) s.extras)
-  | Shared_par p -> shared_outcomes t (Array.to_list p.sh_plans)
+  gather t (fun sh ->
+      shard_results sh ~plan:(plan_outcomes t)
+        ~entries:(List.map (entry_outcome t)))
 
 (* Every query observes the whole feed (shared-mode metrics are
    compensated to the independent view), so the cross-query summary uses
@@ -399,106 +262,73 @@ let outcomes t =
    the simultaneous-instance peaks sum. *)
 let merged_metrics t =
   quiesce t;
-  match t.backend with
-  | Independent entries | Independent_par (entries, _) ->
-      Metrics.merge_replicas
-        (List.map (fun e -> Executor.metrics e.exec) entries)
-  | Shared s ->
-      Metrics.merge_replicas
-        (List.map
-           (fun (r : Shared_plan.query_result) -> r.q_metrics)
-           (Shared_plan.results s.plan)
-        @ List.map (fun e -> Executor.metrics e.exec) s.extras)
-  | Shared_par p ->
-      Metrics.merge_replicas
-        (List.concat_map
-           (fun sp ->
+  Metrics.merge_replicas
+    (List.concat_map
+       (fun sh ->
+         Option.fold ~none:[]
+           ~some:(fun p ->
              List.map
                (fun (r : Shared_plan.query_result) -> r.q_metrics)
-               (Shared_plan.results sp))
-           (Array.to_list p.sh_plans))
+               (Shared_plan.results p))
+           sh.plan
+         @ List.map (fun e -> Executor.metrics e.exec) sh.entries)
+       (Array.to_list t.shards))
 
 let shared_stats t =
   quiesce t;
-  match t.backend with
-  | Independent _ | Independent_par _ -> []
-  | Shared s -> [ Shared_plan.stats s.plan ]
-  | Shared_par p -> Array.to_list (Array.map Shared_plan.stats p.sh_plans)
+  List.filter_map
+    (fun sh -> Option.map Shared_plan.stats sh.plan)
+    (Array.to_list t.shards)
 
 (* ------------------------------------------------------------------ *)
-(* Runtime registration (sequential backends only).                   *)
+(* Runtime registration (sequential query sets only).                 *)
 (* ------------------------------------------------------------------ *)
 
-let sequential_only t op =
-  match t.backend with
-  | Independent_par _ | Shared_par _ ->
+let sequential_shard t op =
+  match t.pool with
+  | Some _ ->
       invalid_arg
         ("Multi." ^ op ^ ": domain-parallel query sets are fixed at creation")
-  | Independent _ | Shared _ -> ()
+  | None -> t.shards.(0)
 
-let register t (name, automaton, strategy) =
-  sequential_only t "register";
+let register t ((name, _, _) as query) =
+  let sh = sequential_shard t "register" in
   if name = "" then invalid_arg "Multi.register: empty query name";
   if List.exists (fun (n, _, _) -> n = name) t.regs then
     invalid_arg ("Multi.register: duplicate query name " ^ name);
-  (match t.backend with
-  | Independent entries ->
-      let e =
-        {
-          name;
-          automaton;
-          exec = Executor.create ~options:t.options strategy automaton;
-        }
-      in
-      t.backend <- Independent (entries @ [ e ])
-  | Shared s ->
-      if Shared_plan.events_fed s.plan = 0 && s.extras = [] then
-        (* Nothing fed yet: rebuild the (empty) plan so the newcomer
-           shares fully — "register everything, then feed" gets the same
-           plan as creation-time registration. *)
-        s.plan <-
-          Shared_plan.create ~options:t.options
-            (plan_regs (t.regs @ [ (name, automaton, strategy) ]))
-      else
-        (* The shared population already reflects fed events the
-           newcomer must not observe: run it independently beside the
-           plan. *)
-        s.extras <-
-          s.extras
-          @ [
-              {
-                name;
-                automaton;
-                exec = Executor.create ~options:t.options strategy automaton;
-              };
-            ]
-  | Independent_par _ | Shared_par _ -> assert false);
-  t.regs <- t.regs @ [ (name, automaton, strategy) ]
+  (match sh.plan with
+  | Some p when Shared_plan.events_fed p = 0 && sh.entries = [] ->
+      (* Nothing fed yet: rebuild the (empty) plan so the newcomer
+         shares fully — "register everything, then feed" gets the same
+         plan as creation-time registration. *)
+      sh.plan <-
+        Some
+          (Shared_plan.create ~options:t.options
+             (plan_regs (t.regs @ [ query ])))
+  | Some _ | None ->
+      (* Without a plan, or with a shared population that already
+         reflects fed events the newcomer must not observe: run it
+         independently. *)
+      sh.entries <-
+        sh.entries @ List.map (make_entry t.options) (plan_regs [ query ]));
+  t.regs <- t.regs @ [ query ]
 
 let unregister t name =
-  sequential_only t "unregister";
+  let sh = sequential_shard t "unregister" in
+  let unknown () = invalid_arg ("Multi.unregister: unknown query " ^ name) in
   let outcome =
-    match t.backend with
-    | Independent entries -> (
-        match List.find_opt (fun e -> e.name = name) entries with
-        | None -> invalid_arg ("Multi.unregister: unknown query " ^ name)
-        | Some e ->
-            ignore (Executor.close e.exec);
-            t.backend <-
-              Independent (List.filter (fun x -> x.name <> name) entries);
-            snd (entry_outcome t e))
-    | Shared s -> (
-        match List.find_opt (fun e -> e.name = name) s.extras with
-        | Some e ->
-            ignore (Executor.close e.exec);
-            s.extras <- List.filter (fun x -> x.name <> name) s.extras;
-            snd (entry_outcome t e)
-        | None -> (
-            match Shared_plan.retire s.plan name with
+    match List.find_opt (fun e -> e.name = name) sh.entries with
+    | Some e ->
+        ignore (Executor.close e.exec);
+        sh.entries <- List.filter (fun x -> x.name <> name) sh.entries;
+        snd (entry_outcome t e)
+    | None -> (
+        match sh.plan with
+        | None -> unknown ()
+        | Some p -> (
+            match Shared_plan.retire p name with
             | r -> finalized t r.q_automaton r.q_raw r.q_metrics
-            | exception Invalid_argument _ ->
-                invalid_arg ("Multi.unregister: unknown query " ^ name)))
-    | Independent_par _ | Shared_par _ -> assert false
+            | exception Invalid_argument _ -> unknown ()))
   in
   t.regs <- List.filter (fun (n, _, _) -> n <> name) t.regs;
   outcome

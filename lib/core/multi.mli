@@ -23,17 +23,18 @@
 
     {b Domain-parallel mode.} When [options.domains > 1] (clamped to the
     number of queries), worker domains process the broadcast feed in
-    parallel. In shared mode, registrations are split into unit-whole
-    shards and each worker builds its own shared plan over its shard (on
-    its own domain); in independent mode, queries are pinned round-robin.
-    Either way each query is still evaluated by one domain, strictly
-    sequentially, so per-query results are identical to the sequential
-    mode. Operationally (mirroring {!Partitioned}'s sharded mode):
-    [feed] returns [[]] — completions surface at [close]/{!outcomes} —
+    parallel. Registrations are split into one shard per worker by
+    {!Shared_plan.partition}, which keeps every sharing unit whole; a
+    shard is what the sequential mode runs — its own shared plan when
+    [shared], its own executors otherwise — built on the calling thread
+    with [domains = 1] and its own telemetry fork. Each query is still
+    evaluated by one domain, strictly sequentially, so per-query results
+    are identical to the sequential mode. Operationally (mirroring
+    {!Partitioned}'s sharded mode): [feed] returns [[]] — completions surface at [close]/{!outcomes} —
     [population]/{!outcomes} quiesce the workers first, [close] joins
     the domains and forbids further feeding, and worker exceptions
-    re-raise at the next call. Executors inside a parallel Multi are
-    created with [domains = 1]: queries do not nest domain pools. *)
+    re-raise at the next call. Queries inside a parallel Multi do not
+    nest domain pools. *)
 
 open Ses_event
 

@@ -129,16 +129,22 @@ let feed_batch st es =
   Array.iter (fun e -> ignore (feed st e)) es;
   []
 
-let close st =
+(* Everything is emitted at [close], so before it the flush is the whole
+   enumeration over the buffered events. *)
+let accepting st =
   if st.closed then []
-  else begin
+  else
+    all_satisfying_1_3_events ~limit:st.limit st.pattern
+      (Array.of_list (List.rev st.events))
+
+let close st =
+  let raw = accepting st in
+  if not st.closed then begin
     st.closed <- true;
-    let all_events = Array.of_list (List.rev st.events) in
-    let raw = all_satisfying_1_3_events ~limit:st.limit st.pattern all_events in
     List.iter (fun _ -> Metrics.on_match st.m) raw;
-    st.raw <- raw;
-    raw
-  end
+    st.raw <- raw
+  end;
+  raw
 
 let emitted st = st.raw
 

@@ -71,6 +71,10 @@ val close : stream -> Substitution.t list
 
 val emitted : stream -> Substitution.t list
 
+val accepting : stream -> Substitution.t list
+(** What {!close} would emit now: the enumeration over the events
+    buffered so far ([[]] once closed). *)
+
 val population : stream -> int
 (** Always 0 — the oracle keeps no automaton instances. *)
 

@@ -349,6 +349,8 @@ let ordered_streams st =
 
 let emitted st = List.concat_map Engine.emitted (ordered_streams st)
 
+let accepting st = List.concat_map Engine.accepting (ordered_streams st)
+
 let population st =
   match st.pools with
   | Single s -> Engine.population s

@@ -108,6 +108,10 @@ val emitted : stream -> Substitution.t list
 (** All raw emissions so far, grouped by pool in pool-creation order
     (per shard when domain-sharded). *)
 
+val accepting : stream -> Substitution.t list
+(** {!Engine.accepting} over every pool, in {!close}'s order (quiescing
+    the workers first in sharded mode). *)
+
 val population : stream -> int
 (** Total live instances across pools. *)
 

@@ -298,6 +298,8 @@ let close st = Partitioned.close st.inner
 
 let emitted st = Partitioned.emitted st.inner
 
+let accepting st = Partitioned.accepting st.inner
+
 let population st = Partitioned.population st.inner
 
 let metrics st = Partitioned.metrics st.inner

@@ -179,6 +179,8 @@ val close : stream -> Substitution.t list
 
 val emitted : stream -> Substitution.t list
 
+val accepting : stream -> Substitution.t list
+
 val population : stream -> int
 
 val metrics : stream -> Metrics.snapshot

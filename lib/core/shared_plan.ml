@@ -604,17 +604,15 @@ let process_merged g e rmask =
    accepting buckets in slot order otherwise — handed to [emit] through
    the kernel's flush without leaving their buckets. *)
 let flush_owner g o ~emit =
-  let peek h =
-    let insts = Instance_store.take_all_h h in
-    Instance_store.put_back_h h insts;
-    insts
-  in
   if o.o_is_ender then
-    Kernel.flush o.o_k ~owner:o.o_bit (peek g.g_merge.bucket) ~emit
+    Kernel.flush o.o_k ~owner:o.o_bit
+      (Instance_store.items_h g.g_merge.bucket)
+      ~emit
   else
     Array.iter
       (fun (slot : Kernel.slot) ->
-        if slot.accepting then Kernel.flush o.o_k (peek slot.bucket) ~emit)
+        if slot.accepting then
+          Kernel.flush o.o_k (Instance_store.items_h slot.bucket) ~emit)
       o.o_slots
 
 let close_merged g =
@@ -1153,59 +1151,59 @@ let retire t name =
   in
   (* Capture the registration's outcome-to-date before mutating, close
      order included; the snapshot keeps its meaning after retirement
-     because nothing reads the unit's probes for this name again. *)
-  let result =
+     because nothing reads the unit's probes for this name again. The
+     name's run ends as [Engine.close] would end it, with the flush of
+     its accepting instances — read in place while an aliased sibling
+     keeps them alive. *)
+  let emitted, flushed, metrics =
     match t.sp_reg_unit.(r) with
     | ui, -1 -> (
         match t.sp_units.(ui) with
         | U_single s ->
             s.s_regs <- List.filter (fun x -> x <> r) s.s_regs;
-            if s.s_regs = [] then begin
-              (* Last name on the unit: the executor's run ends here. *)
-              ignore (Executor.close s.s_exec);
-              s.s_retired <- true;
-              s.s_live <- false
-            end;
-            (* An aliased sibling keeps the executor open, so this
-               name's raw lacks the close-time flush — documented. *)
-            let raw = Executor.emitted s.s_exec in
-            let metrics =
-              adjust_metrics t ~mode:s.s_mode ~fed:s.s_fed
-                (Executor.metrics s.s_exec)
+            let flushed =
+              if s.s_regs = [] then begin
+                (* Last name on the unit: the executor's run ends here,
+                   its flush counted among its own emissions. *)
+                ignore (Executor.close s.s_exec);
+                s.s_retired <- true;
+                s.s_live <- false;
+                []
+              end
+              else Executor.accepting s.s_exec
             in
-            (raw, metrics)
+            ( Executor.emitted s.s_exec,
+              flushed,
+              adjust_metrics t ~mode:s.s_mode ~fed:s.s_fed
+                (Executor.metrics s.s_exec) )
         | U_merged _ -> assert false)
     | ui, oi -> (
         match t.sp_units.(ui) with
         | U_merged g ->
             let o = g.g_owners.(oi) in
             o.o_regs <- List.filter (fun x -> x <> r) o.o_regs;
-            (* This name's run ends as [Engine.close] would end it: with
-               the flush of the owner's accepting instances, read in
-               place since an aliased sibling may keep them alive. *)
             let flushed = ref [] in
             flush_owner g o ~emit:(fun inst ->
                 flushed := Kernel.substitution inst :: !flushed);
             let metrics = owner_metrics t o in
             if o.o_regs = [] then retire_owner g o;
-            ( List.rev (!flushed @ o.o_emissions),
-              {
-                metrics with
-                Metrics.matches_emitted =
-                  metrics.Metrics.matches_emitted + List.length !flushed;
-              } )
+            (List.rev o.o_emissions, List.rev !flushed, metrics)
         | U_single _ -> assert false)
   in
   t.sp_retired.(r) <- true;
-  let raw, metrics = result in
   {
     q_name = name;
     q_automaton = t.sp_regs.(r).r_automaton;
     q_alias =
       (let ui, oi = t.sp_reg_unit.(r) in
        (ui * (max_owners + 2)) + oi + 1);
-    q_raw = raw;
-    q_metrics = metrics;
+    q_raw = emitted @ flushed;
+    q_metrics =
+      {
+        metrics with
+        Metrics.matches_emitted =
+          metrics.Metrics.matches_emitted + List.length flushed;
+      };
   }
 
 (* ------------------------------------------------------------------ *)

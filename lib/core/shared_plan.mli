@@ -75,8 +75,8 @@ val retire : t -> string -> query_result
     the plan had been built without the retired one: its owner bit is
     cleared from every shared instance (sole-owner instances drop out),
     its predicate-index slots stop routing, and aliased siblings keep
-    their executor. Exception: when an aliased sibling keeps the shared
-    executor open, the retiree's raw lacks the close-time flush.
+    their executor (the retiree's flush is then read in place through
+    {!Executor.accepting}).
     Raises [Invalid_argument] on an unknown (or already retired) name,
     or if the plan is closed. *)
 

@@ -100,7 +100,18 @@ let test_close_idempotent () =
       List.iteri
         (fun i (l, ts) -> ignore (Ses_core.Executor.feed exec (mk_event i ts l)))
         [ ("P", 10); ("P", 20); ("P", 30); ("B", 40) ];
-      ignore (Ses_core.Executor.close exec);
+      (* [accepting] previews close's flush without closing anything. *)
+      let canon = List.map Ses_core.Substitution.canonical in
+      let before = canon (Ses_core.Executor.emitted exec) in
+      let pending = canon (Ses_core.Executor.accepting exec) in
+      Alcotest.(check bool)
+        (Ses_core.Executor.strategy_name strategy ^ " accepting emits nothing")
+        true
+        (before = canon (Ses_core.Executor.emitted exec));
+      Alcotest.(check bool)
+        (Ses_core.Executor.strategy_name strategy ^ " accepting = close flush")
+        true
+        (pending <> [] && pending = canon (Ses_core.Executor.close exec));
       let emitted_once = Ses_core.Executor.emitted exec in
       Alcotest.(check (list pass))
         (Ses_core.Executor.strategy_name strategy ^ " close is idempotent")

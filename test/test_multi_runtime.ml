@@ -99,6 +99,7 @@ let fixture_queries () =
     ("pfx-neg-merge", neg_merge, `Plain);
     ("solo", solo, `Plain);
     ("pfx-c-alias", cont_c, `Plain);
+    ("solo-alias", solo, `Plain);
   ]
 
 let fixture_events =
@@ -125,7 +126,15 @@ let fixture_events =
              ])))
 
 let fixture_victims =
-  [ "pfx-end"; "pfx-c"; "pfx-d"; "pfx-neg-merge"; "solo"; "pfx-c-alias" ]
+  [
+    "pfx-end";
+    "pfx-c";
+    "pfx-d";
+    "pfx-neg-merge";
+    "solo";
+    "pfx-c-alias";
+    "solo-alias";
+  ]
 
 let without victim queries =
   List.filter (fun (n, _, _) -> n <> victim) queries
@@ -187,13 +196,15 @@ let test_retiree_outcome () =
             true
             (canon_sorted expected.Engine.raw = canon_sorted out.Engine.raw))
         [ 0; 8; 12 ])
-    (* pfx-c and pfx-c-alias are one merged owner: the retiree's flush
-       reads the owner's accepting instances in place while the sibling
-       keeps them. Aliased single units stay excepted: the sibling keeps
-       the shared executor open, and the executor interface has no
-       non-closing flush, so the retiree's raw lacks the close-time
-       flush. *)
-    [ "pfx-end"; "pfx-c"; "pfx-c-alias"; "pfx-d"; "pfx-neg-merge"; "solo" ]
+    [
+      "pfx-end";
+      "pfx-c";
+      "pfx-c-alias";
+      "pfx-d";
+      "pfx-neg-merge";
+      "solo";
+      "solo-alias";
+    ]
 
 let test_register_before_feed_shares () =
   (* Registering before the first event rebuilds the plan: same results
@@ -210,7 +221,7 @@ let test_register_before_feed_shares () =
   | [ stats ] ->
       Alcotest.(check bool) "merged after rebuild" true
         (stats.Shared_plan.st_merged_groups >= 1);
-      Alcotest.(check int) "alias after rebuild" 1
+      Alcotest.(check int) "alias after rebuild" 2
         stats.Shared_plan.st_aliased_queries
   | l -> Alcotest.failf "expected one plan, got %d" (List.length l)
 

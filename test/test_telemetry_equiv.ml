@@ -1,8 +1,9 @@
 (* Differential properties for the telemetry layer: instrumentation must
    be a pure observer. For random workloads, every executor strategy and
-   1/2/4 worker domains, a run with a recording sink produces exactly
-   the same finalized matches, raw emissions and [Metrics.snapshot] as a
-   run with the no-op sink — and the recorded profile is internally
+   1/2/4 worker domains, and a {!Multi} query set shared or not on 1/2
+   domains, a run with a recording sink produces exactly the same
+   finalized matches, raw emissions and [Metrics.snapshot] as a run with
+   the no-op sink — and the recorded profile is internally
    consistent with those counters (one ingest span and one [event_ns]
    sample per batch pushed — [run] chunks by [options.batch_size] —
    histogram totals = span totals, merged peak bounded by the measured
@@ -44,6 +45,26 @@ let grid_strategies = [ `Auto; `Plain; `Partitioned ]
 
 let domain_grid = [ 1; 2; 4 ]
 
+(* A query set over the workload's relation: the workload pattern, an
+   alias of it and a second random pattern, so both sharing units and
+   independent executors are exercised. Each leg is [(shared, domains)];
+   sharded legs record through one telemetry fork per shard. *)
+let multi_queries seed pat =
+  let other =
+    Random_workload.pattern (Prng.create (Int64.of_int (seed + 1))) part_spec
+  in
+  [
+    ("q", Automaton.of_pattern pat);
+    ("q-alias", Automaton.of_pattern pat);
+    ("q-other", Automaton.of_pattern other);
+  ]
+
+let multi_grid = [ (true, 1); (true, 2); (false, 1); (false, 2) ]
+
+let run_multi ~shared ~domains telemetry queries r =
+  Multi.run ~options:(options ~domains telemetry) ~shared queries
+    (Relation.to_seq r)
+
 let find_span p name = List.assoc_opt name p.Telemetry.spans
 
 let find_hist p name = List.assoc_opt name p.Telemetry.histograms
@@ -55,6 +76,11 @@ let recording_run_is_invisible =
     (fun seed ->
       with_workload seed (fun pat r ->
           let automaton = Automaton.of_pattern pat in
+          let same (recorded : Engine.outcome) (plain : Engine.outcome) =
+            canon recorded.Engine.matches = canon plain.Engine.matches
+            && canon_sorted recorded.Engine.raw = canon_sorted plain.Engine.raw
+            && recorded.Engine.metrics = plain.Engine.metrics
+          in
           List.for_all
             (fun strategy ->
               List.for_all
@@ -64,12 +90,21 @@ let recording_run_is_invisible =
                   let recorded =
                     run ~strategy ~domains (Some tl) automaton r
                   in
-                  canon recorded.Engine.matches = canon plain.Engine.matches
-                  && canon_sorted recorded.Engine.raw
-                     = canon_sorted plain.Engine.raw
-                  && recorded.Engine.metrics = plain.Engine.metrics)
+                  same recorded plain)
                 domain_grid)
-            grid_strategies))
+            grid_strategies
+          &&
+          let queries = multi_queries seed pat in
+          List.for_all
+            (fun (shared, domains) ->
+              let plain = run_multi ~shared ~domains None queries r in
+              let tl = Telemetry.create () in
+              let recorded = run_multi ~shared ~domains (Some tl) queries r in
+              List.length recorded = List.length plain
+              && List.for_all2
+                   (fun (n1, o1) (n2, o2) -> n1 = n2 && same o1 o2)
+                   recorded plain)
+            multi_grid))
 
 (* Internal consistency: every chunk pushed through the executor is one
    ingest span interval and one event_ns histogram sample — [run] chunks
